@@ -9,8 +9,8 @@
  *    construction, survivor vector, full score vector, topkSelect,
  *    sort + subsetAttention, all on fresh heap buffers; and
  *  - *fused*: MultiHeadLongSight::computeInto over reserved caches —
- *    scratch-arena buffers and the fused batchScoreSelect kernel,
- *    which never materializes survivor or score vectors.
+ *    scratch-arena buffers and the fused batchScoreSelectMultiSpans
+ *    kernel, which never materializes survivor or score vectors.
  *
  * Both paths are verified element-identical before timing. With the
  * ls_alloc_hook library linked, the bench also reports heap
@@ -20,8 +20,9 @@
  *
  * A final grouped-scan section isolates the scan stage for one KV
  * head's whole GQA query group at the current cache state: one
- * multi-query pass (batchScanMulti / batchScoreSelectMulti) against
- * the group-size single-query passes the pre-grouping decode issued.
+ * multi-query pass (batchScanMulti / batchScoreSelectMultiSpans)
+ * against `group` passes of the same driver with one query each (the
+ * ungrouped decode's access pattern).
  * Per-query results must be bit-identical — any mismatch exits
  * nonzero (CI's bench-smoke gate) — and the measured speedups land in
  * BENCH_decode.json under "grouped_scan".
@@ -102,9 +103,12 @@ baselineStep(const BenchShape &sh, const Matrix &queries,
             std::vector<float> qf(sh.dim);
             cache.toFilterSpace(q, qf.data());
             const SignBits qs(qf.data(), sh.dim);
-            std::vector<uint32_t> survivors;
-            batchConcordanceScan(qs, cache.filterSignsAll(), sinks,
-                                 win_start, sh.threshold, survivors);
+            std::vector<uint32_t> survivors(win_start - sinks);
+            size_t count = 0;
+            batchScanMulti(qs.words().data(), 1, cache.filterSignsAll(),
+                           sinks, win_start, sh.threshold,
+                           survivors.data(), survivors.size(), &count);
+            survivors.resize(count);
             const auto scores =
                 attentionScoresAt(q, cache.keys(), survivors, scale);
             const auto sel =
@@ -158,9 +162,10 @@ bestRate(size_t work, int reps, F &&fn)
 
 /**
  * Scan-stage comparison on KV head 0's query group: one grouped
- * multi-query pass over the sparse region versus the `group`
- * single-query passes the ungrouped decode issued, for both the raw
- * concordance scan and the fused scan->score->select kernel.
+ * multi-query pass over the sparse region versus `group` one-query
+ * passes of the same driver (what an ungrouped decode issues), for
+ * both the raw concordance scan and the fused scan->score->select
+ * kernel.
  */
 GroupedScanNumbers
 groupedScanComparison(const BenchShape &sh, const Matrix &queries,
@@ -182,24 +187,21 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
     const size_t wpr = signs.wordsPerRow();
     std::vector<float> qf(sh.dim);
     std::vector<uint64_t> qw(group * wpr);
-    std::vector<SignBits> qbits;
     for (uint32_t g = 0; g < group; ++g) {
         cache.toFilterSpace(queries.row(g), qf.data());
         packSigns(qf.data(), sh.dim, qw.data() + g * wpr);
-        qbits.emplace_back(qf.data(), sh.dim);
     }
     const size_t work = static_cast<size_t>(group) * gn.keys;
 
-    // Raw scan: group single passes vs one grouped pass.
-    std::vector<std::vector<uint32_t>> single(group);
-    for (auto &v : single)
-        v.reserve(gn.keys);
+    // Raw scan: group one-query passes vs one grouped pass.
+    std::vector<uint32_t> single(work);
+    std::vector<size_t> single_counts(group);
     gn.scanUngrouped = bestRate(work, reps, [&] {
-        for (uint32_t g = 0; g < group; ++g) {
-            single[g].clear();
-            batchConcordanceScan(qbits[g], signs, sinks, win_start,
-                                 sh.threshold, single[g]);
-        }
+        for (uint32_t g = 0; g < group; ++g)
+            batchScanMulti(qw.data() + g * wpr, 1, signs, sinks,
+                           win_start, sh.threshold,
+                           single.data() + g * gn.keys, gn.keys,
+                           &single_counts[g]);
     });
     std::vector<uint32_t> multi(work);
     std::vector<size_t> counts(group);
@@ -209,36 +211,39 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
                        counts.data());
     });
     for (uint32_t g = 0; g < group; ++g) {
-        bool same = counts[g] == single[g].size();
+        bool same = counts[g] == single_counts[g];
         for (size_t i = 0; same && i < counts[g]; ++i)
-            same = multi[g * gn.keys + i] == single[g][i];
+            same = multi[g * gn.keys + i] == single[g * gn.keys + i];
         if (!same) {
             std::cerr << "FAIL: grouped scan diverged from the "
-                         "single-query scan for group query "
+                         "one-query scan for group query "
                       << g << "\n";
             gn.bitIdentical = false;
         }
     }
 
-    // Fused scan->score->select: same comparison through the top-k.
+    // Fused scan->score->select: same comparison through the top-k,
+    // over the sparse region as one identity span.
+    const ScanSpan region{sinks, gn.keys, sinks};
     const size_t kcap = std::min<size_t>(sh.hybrid.topK, gn.keys);
     std::vector<ScoredIndex> sel_single(group * kcap);
     std::vector<size_t> nsel_single(group);
     gn.fusedUngrouped = bestRate(work, reps, [&] {
         for (uint32_t g = 0; g < group; ++g)
-            nsel_single[g] = batchScoreSelect(
-                qw.data() + g * wpr, signs, sinks, win_start,
-                sh.threshold, queries.row(g), cache.keys(), scale,
-                sh.hybrid.topK, sel_single.data() + g * kcap);
+            batchScoreSelectMultiSpans(
+                qw.data() + g * wpr, 1, signs, &region, 1, sh.threshold,
+                queries.row(g), queries.cols(), cache.keys(), scale,
+                sh.hybrid.topK, sel_single.data() + g * kcap, kcap,
+                &nsel_single[g]);
     });
     std::vector<ScoredIndex> sel_multi(group * kcap);
     std::vector<size_t> nsel_multi(group);
     gn.fusedGrouped = bestRate(work, reps, [&] {
-        batchScoreSelectMulti(qw.data(), group, signs, sinks, win_start,
-                              sh.threshold, queries.row(0),
-                              queries.cols(), cache.keys(), scale,
-                              sh.hybrid.topK, sel_multi.data(), kcap,
-                              nsel_multi.data());
+        batchScoreSelectMultiSpans(qw.data(), group, signs, &region, 1,
+                                   sh.threshold, queries.row(0),
+                                   queries.cols(), cache.keys(), scale,
+                                   sh.hybrid.topK, sel_multi.data(), kcap,
+                                   nsel_multi.data());
     });
     for (uint32_t g = 0; g < group; ++g) {
         bool same = nsel_multi[g] == nsel_single[g];
@@ -249,7 +254,7 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
                     sel_single[g * kcap + i].score;
         if (!same) {
             std::cerr << "FAIL: grouped score-select diverged from the "
-                         "single-query kernel for group query "
+                         "one-query pass for group query "
                       << g << "\n";
             gn.bitIdentical = false;
         }
@@ -446,8 +451,7 @@ main(int argc, char **argv)
         static_cast<unsigned>(flags.getInt("threads", 0));
     const std::string out =
         flags.getString("out", "BENCH_decode.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
     if (threads != 0)
         ThreadPool::configureGlobal(threads);
     return run(sh, out);

@@ -6,15 +6,15 @@
  * CXL transfers, softmax, and the dense-attention reference kernel.
  *
  * After the google benchmarks, a scalar-vs-SIMD comparison pass times
- * the batch scan, survivor-scoring, fused scan->score->select,
- * GQA-group multi-query (batchScanMulti / batchScoreSelectMulti, four
- * queries per pass), and INT8 quantized-scoring (quant_dot, int8_dot,
- * fused int8_score_select — scalar / AVX2 maddubs / AVX-512 VNNI)
- * kernels on every backend this host supports,
- * verifies the results are bit-identical to the scalar backend (the
- * fused kernel against the unfused scan + dot + topkSelect pipeline,
- * and every multi-query output against the scalar single-query result
- * for the same query), and writes BENCH_kernels.json. Exits nonzero
+ * the batch scan, survivor-scoring, fused scan->score->select (one
+ * query, and a four-query GQA group per pass: batchScanMulti /
+ * batchScoreSelectMultiSpans), and INT8 quantized-scoring (quant_dot,
+ * int8_dot, fused int8_score_select — scalar / AVX2 maddubs / AVX-512
+ * VNNI) kernels on every backend this host supports, verifies the
+ * results are bit-identical to the scalar backend (the fused kernel
+ * against the unfused scan + dot + topkSelect pipeline, and every
+ * grouped output against the scalar one-query result for the same
+ * query), and writes BENCH_kernels.json. Exits nonzero
  * if any backend's survivor set, score vector, fused top-k, or
  * grouped per-query result differs from scalar — this is the
  * bit-identity gate CI's bench-smoke job enforces.
@@ -218,14 +218,15 @@ BM_BatchScan4K(benchmark::State &state)
     const Matrix keys(n, d, rng.gaussianVec(n * d));
     const SignMatrix signs = SignMatrix::pack(keys.data(), n, d);
     const auto q = rng.gaussianVec(d);
-    const SignBits qs(q.data(), d);
-    std::vector<uint32_t> survivors;
-    survivors.reserve(n);
+    std::vector<uint64_t> qw(signs.wordsPerRow());
+    packSigns(q.data(), d, qw.data());
+    std::vector<uint32_t> survivors(n);
+    size_t count = 0;
     for (auto _ : state) {
-        survivors.clear();
-        batchConcordanceScan(qs, signs, 0, n, static_cast<int>(d) / 2,
-                             survivors);
-        benchmark::DoNotOptimize(survivors);
+        batchScanMulti(qw.data(), 1, signs, 0, n, static_cast<int>(d) / 2,
+                       survivors.data(), n, &count);
+        benchmark::DoNotOptimize(count);
+        benchmark::DoNotOptimize(survivors.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
     state.SetLabel(kernelBackendName(activeKernelBackend()));
@@ -267,11 +268,13 @@ BM_FusedScoreSelect(benchmark::State &state)
     const auto q = rng.gaussianVec(d);
     std::vector<uint64_t> qw(signs.wordsPerRow());
     packSigns(q.data(), d, qw.data());
+    const ScanSpan all{0, n, 0};
     std::vector<ScoredIndex> out(k);
+    size_t m = 0;
     for (auto _ : state) {
-        const size_t m = batchScoreSelect(
-            qw.data(), signs, 0, n, static_cast<int>(d) / 2, q.data(),
-            keys, 0.125f, k, out.data());
+        batchScoreSelectMultiSpans(qw.data(), 1, signs, &all, 1,
+                                   static_cast<int>(d) / 2, q.data(), d,
+                                   keys, 0.125f, k, out.data(), k, &m);
         benchmark::DoNotOptimize(m);
         benchmark::DoNotOptimize(out.data());
     }
@@ -343,30 +346,32 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         const SignMatrix signs =
             SignMatrix::pack(key_mat.data(), keys, dim);
         const auto q = rng.gaussianVec(dim);
-        const SignBits qs(q.data(), dim);
         const int threshold = static_cast<int>(dim) / 2;
         const float scale = 0.125f;
+        const ScanSpan all{0, keys, 0};
+        std::vector<uint64_t> qw(signs.wordsPerRow());
+        packSigns(q.data(), dim, qw.data());
 
         // Scalar reference results (survivors + their scores).
         setKernelBackend(KernelBackend::Scalar);
-        std::vector<uint32_t> ref_survivors;
-        batchConcordanceScan(qs, signs, 0, keys, threshold,
-                             ref_survivors);
+        std::vector<uint32_t> ref_survivors(keys);
+        size_t ref_count = 0;
+        batchScanMulti(qw.data(), 1, signs, 0, keys, threshold,
+                       ref_survivors.data(), keys, &ref_count);
+        ref_survivors.resize(ref_count);
         std::vector<float> ref_scores(ref_survivors.size());
         batchDotScaleAt(q.data(), key_mat, ref_survivors.data(),
                         ref_survivors.size(), scale, ref_scores.data());
 
         // Fused-kernel reference: the unfused pipeline's exact top-k
-        // (batchScoreSelect contracts to match it bit for bit).
+        // (the fused driver contracts to match it bit for bit).
         const size_t k = 1024;
         const auto ref_sel = topkSelect(ref_scores, ref_survivors, k);
-        std::vector<uint64_t> qw(signs.wordsPerRow());
-        packSigns(q.data(), dim, qw.data());
 
         // GQA-group multi-query shape: 4 queries, one pass. References
-        // are the scalar backend's per-query single-kernel results, so
-        // the gate closes the whole contract — multi on any backend
-        // must equal single-query scalar, query by query.
+        // are the scalar backend's one-query results, so the gate
+        // closes the whole contract — a group on any backend must
+        // equal one-query scalar, query by query.
         const size_t nq = 4;
         const size_t wpr = signs.wordsPerRow();
         Matrix qm(nq, dim);
@@ -387,18 +392,18 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                            one.data());
             ref_msurv[g].resize(one[0]);
             ref_msel[g].resize(kcap);
-            one[0] = 0;
-            batchScoreSelectMulti(qwm.data() + g * wpr, 1, signs, 0,
-                                  keys, threshold, qm.row(g), dim,
-                                  key_mat, scale, k, ref_msel[g].data(),
-                                  kcap, one.data());
+            batchScoreSelectMultiSpans(qwm.data() + g * wpr, 1, signs,
+                                       &all, 1, threshold, qm.row(g), dim,
+                                       key_mat, scale, k,
+                                       ref_msel[g].data(), kcap,
+                                       one.data());
             ref_msel[g].resize(one[0]);
         }
 
         // INT8 arena (the KvCache enableKeyQuantization layout) plus
         // scalar references for the quantized-scoring kernels: the
-        // mixed float x int8 survivor dot, the exact int8 x int8
-        // estimation dot, and the fused estimate -> top-k select.
+        // mixed float x int8 dot, the exact int8 x int8 estimation
+        // dot, and the fused estimate -> top-k select.
         std::vector<int8_t> kq(keys * dim);
         std::vector<float> kscales(keys);
         for (size_t i = 0; i < keys; ++i)
@@ -408,17 +413,18 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         float q8_scale = 0.0f;
         quantizeInt8Into(q.data(), dim, q8.data(), &q8_scale);
 
-        std::vector<float> ref_qdot(ref_survivors.size());
-        batchQuantDotAt(q.data(), kq.data(), kscales.data(), dim,
-                        ref_survivors.data(), ref_survivors.size(),
-                        scale, ref_qdot.data());
+        std::vector<float> ref_qdot(keys);
+        batchQuantDotRange(q.data(), kq.data(), kscales.data(), dim, 0,
+                           keys, scale, ref_qdot.data());
         std::vector<int32_t> ref_idot(keys);
         batchInt8DotRange(q8.data(), kq.data(), dim, 0, keys,
                           ref_idot.data());
-        std::vector<ScoredIndex> ref_isel(std::min(k, keys));
-        const size_t ref_isel_n = batchInt8ScoreSelect(
-            q8.data(), q8_scale, kq.data(), kscales.data(), dim, 0,
-            keys, scale, k, ref_isel.data());
+        std::vector<ScoredIndex> ref_isel(kcap);
+        size_t ref_isel_n = 0;
+        batchInt8ScoreSelectMultiSpans(q8.data(), &q8_scale, 1, kq.data(),
+                                       kscales.data(), dim, &all, 1,
+                                       scale, k, ref_isel.data(), kcap,
+                                       &ref_isel_n);
         ref_isel.resize(ref_isel_n);
 
         double scalar_scan = 0.0, scalar_dot = 0.0, scalar_fused = 0.0;
@@ -427,14 +433,15 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         for (KernelBackend b : availableBackends()) {
             setKernelBackend(b);
 
-            std::vector<uint32_t> survivors;
-            survivors.reserve(keys);
+            std::vector<uint32_t> survivors(keys);
+            size_t count = 0;
             const double scan_rate =
                 bestKeysPerSec(keys, reps, [&] {
-                    survivors.clear();
-                    batchConcordanceScan(qs, signs, 0, keys, threshold,
-                                         survivors);
+                    batchScanMulti(qw.data(), 1, signs, 0, keys,
+                                   threshold, survivors.data(), keys,
+                                   &count);
                 });
+            survivors.resize(count);
             const bool scan_same = survivors == ref_survivors;
 
             std::vector<float> scores(ref_survivors.size());
@@ -447,14 +454,14 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 });
             const bool dot_same = scores == ref_scores;
 
-            std::vector<ScoredIndex> sel(std::min(k, keys));
+            std::vector<ScoredIndex> sel(kcap);
             size_t nsel = 0;
             const double fused_rate =
                 bestKeysPerSec(keys, reps, [&] {
-                    nsel = batchScoreSelect(qw.data(), signs, 0, keys,
-                                            threshold, q.data(),
-                                            key_mat, scale, k,
-                                            sel.data());
+                    batchScoreSelectMultiSpans(qw.data(), 1, signs, &all,
+                                               1, threshold, q.data(),
+                                               dim, key_mat, scale, k,
+                                               sel.data(), kcap, &nsel);
                 });
             bool fused_same = nsel == ref_sel.size();
             for (size_t i = 0; fused_same && i < nsel; ++i)
@@ -462,7 +469,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                     sel[i].index == ref_sel[i].index;
 
             // Grouped 4-query pass; rates count key-query tests so
-            // they compare directly with the single-query rows.
+            // they compare directly with the one-query rows.
             std::vector<uint32_t> msurv(nq * keys);
             std::vector<size_t> mcounts(nq);
             const double mscan_rate =
@@ -483,11 +490,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             std::vector<size_t> mnsel(nq);
             const double mfused_rate =
                 bestKeysPerSec(nq * keys, reps, [&] {
-                    batchScoreSelectMulti(qwm.data(), nq, signs, 0,
-                                          keys, threshold, qm.row(0),
-                                          dim, key_mat, scale, k,
-                                          msel.data(), kcap,
-                                          mnsel.data());
+                    batchScoreSelectMultiSpans(qwm.data(), nq, signs,
+                                               &all, 1, threshold,
+                                               qm.row(0), dim, key_mat,
+                                               scale, k, msel.data(),
+                                               kcap, mnsel.data());
                 });
             bool mfused_same = true;
             for (size_t g = 0; g < nq; ++g) {
@@ -501,15 +508,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
             // INT8 scoring kernels (dispatch-routed: scalar contract
             // reference, AVX2 maddubs, AVX-512 VNNI where available).
-            std::vector<float> qdot(ref_survivors.size());
-            const double qdot_rate =
-                bestKeysPerSec(ref_survivors.size(), reps, [&] {
-                    batchQuantDotAt(q.data(), kq.data(),
-                                    kscales.data(), dim,
-                                    ref_survivors.data(),
-                                    ref_survivors.size(), scale,
-                                    qdot.data());
-                });
+            std::vector<float> qdot(keys);
+            const double qdot_rate = bestKeysPerSec(keys, reps, [&] {
+                batchQuantDotRange(q.data(), kq.data(), kscales.data(),
+                                   dim, 0, keys, scale, qdot.data());
+            });
             const bool qdot_same = qdot == ref_qdot;
 
             std::vector<int32_t> idot(keys);
@@ -519,12 +522,12 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             });
             const bool idot_same = idot == ref_idot;
 
-            std::vector<ScoredIndex> isel(std::min(k, keys));
+            std::vector<ScoredIndex> isel(kcap);
             size_t nisel = 0;
             const double isel_rate = bestKeysPerSec(keys, reps, [&] {
-                nisel = batchInt8ScoreSelect(
-                    q8.data(), q8_scale, kq.data(), kscales.data(),
-                    dim, 0, keys, scale, k, isel.data());
+                batchInt8ScoreSelectMultiSpans(
+                    q8.data(), &q8_scale, 1, kq.data(), kscales.data(),
+                    dim, &all, 1, scale, k, isel.data(), kcap, &nisel);
             });
             bool isel_same = nisel == ref_isel.size();
             for (size_t i = 0; isel_same && i < nisel; ++i)
@@ -555,9 +558,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             rows.push_back({"score_select_multi_q4", dim, keys, b,
                             mfused_rate, mfused_rate / scalar_mfused,
                             mfused_same});
-            rows.push_back({"quant_dot", dim, ref_survivors.size(), b,
-                            qdot_rate, qdot_rate / scalar_qdot,
-                            qdot_same});
+            rows.push_back({"quant_dot", dim, keys, b, qdot_rate,
+                            qdot_rate / scalar_qdot, qdot_same});
             rows.push_back({"int8_dot", dim, keys, b, idot_rate,
                             idot_rate / scalar_idot, idot_same});
             rows.push_back({"int8_score_select", dim, keys, b,
@@ -579,12 +581,12 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             if (!mscan_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " grouped scan differs per query from the "
-                             "scalar single-query scan (dim "
+                             "scalar one-query scan (dim "
                           << dim << ")\n";
             if (!mfused_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " grouped score_select differs per query "
-                             "from the scalar single-query kernel (dim "
+                             "from the scalar one-query pass (dim "
                           << dim << ")\n";
             if (!qdot_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
@@ -650,8 +652,7 @@ main(int argc, char **argv)
     const bool gbench = flags.getBool("gbench", true);
     const std::string out =
         flags.getString("out", "BENCH_kernels.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     if (gbench)
         benchmark::RunSpecifiedBenchmarks();

@@ -371,8 +371,7 @@ main(int argc, char **argv)
     Flags flags(argc, argv);
     const auto steps = static_cast<uint32_t>(flags.getInt("steps", 24));
     const std::string out = flags.getString("out", "BENCH_paged.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     const IdentityResult id = runIdentity(steps);
     const CapacityResult cap = runCapacity();

@@ -187,8 +187,7 @@ main(int argc, char **argv)
     const bool train_itq = flags.getBool("itq", false);
     const std::string out =
         flags.getString("out", "BENCH_parallel.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     std::vector<ModelConfig> models;
     if (model_sel == "1b" || model_sel == "both")

@@ -331,8 +331,7 @@ main(int argc, char **argv)
         static_cast<uint32_t>(flags.getInt("queries", 16));
     const std::string out_path =
         flags.getString("out", "BENCH_pareto.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     const auto model = ModelConfig::llama3_8b();
     std::cout << "Building " << fmtTokens(context)

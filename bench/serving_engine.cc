@@ -231,8 +231,7 @@ main(int argc, char **argv)
     const double tbtSlo = flags.getDouble("tbt-slo-ms", 150.0);
     const std::string out =
         flags.getString("out", "BENCH_serving.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     const auto model = ModelConfig::llama3_8b();
     LongSightSystem ls(LongSightSystemConfig{}, model);

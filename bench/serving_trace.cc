@@ -212,8 +212,7 @@ main(int argc, char **argv)
     const auto fsteps = static_cast<uint32_t>(flags.getInt("steps", 6));
     const std::string out =
         flags.getString("out", "BENCH_batch.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
     const auto model = ModelConfig::llama3_8b();
     const uint64_t prompt = 65536;
     GpuModel gpu_model(GpuConfig::h100(), model);

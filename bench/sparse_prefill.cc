@@ -603,8 +603,7 @@ main(int argc, char **argv)
         static_cast<uint32_t>(flags.getInt("ttft-requests", 400));
     const std::string out =
         flags.getString("out", "BENCH_prefill.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnknown();
 
     const auto model = ModelConfig::llama3_8b();
     const BenchModelShape shape{model.numQueryHeads, model.numKvHeads,

@@ -69,9 +69,9 @@ LongSightAttn::computeHeadInto(const float *q, const KvCache &cache,
                                uint32_t kv_head,
                                HeadAttentionResult &r) const
 {
-    // The group path with one query IS the single-query path: the
-    // multi-query kernels degenerate to the single-query scan/select
-    // order, so there is exactly one implementation to keep correct.
+    // One query is a group of one: the kernels have a single
+    // multi-query driver per family, so there is exactly one
+    // implementation to keep correct.
     computeGroupInto(q, cache.headDim(), 1, cache, kv_head, &r);
 }
 

@@ -27,15 +27,15 @@ std::vector<uint32_t>
 scfFilter(const SignBits &query, const SignMatrix &keys, int threshold,
           uint32_t base_index)
 {
-    std::vector<uint32_t> survivors;
-    if (keys.rows() == 0)
-        return survivors;
-    batchConcordanceScan(query, keys, 0, keys.rows(), threshold,
-                         survivors);
-    if (base_index != 0) {
-        for (uint32_t &idx : survivors)
-            idx += base_index;
-    }
+    LS_ASSERT(query.dim() == keys.dim(), "scfFilter dim mismatch: ",
+              query.dim(), " vs ", keys.dim());
+    std::vector<uint32_t> survivors(keys.rows());
+    size_t count = 0;
+    batchScanMulti(query.words().data(), 1, keys, 0, keys.rows(),
+                   threshold, survivors.data(), keys.rows(), &count);
+    survivors.resize(count);
+    for (uint32_t &idx : survivors)
+        idx += base_index;
     return survivors;
 }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 // ScoredIndex and the bounded-heap primitives live in the tensor layer
-// so the fused batchScoreSelect kernel shares the exact same ordering
+// so the fused score-select kernels share the exact same ordering
 // implementation; this header re-exports them for existing callers.
 #include "tensor/topk_heap.hh"
 

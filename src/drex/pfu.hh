@@ -33,7 +33,7 @@ class Bitmap128
     Bitmap128() = default;
 
     /** Adopt two packed words (bits 0..63, 64..127) — the shape the
-     *  batch concordanceBitmap kernel emits. */
+     *  concordanceBitmapMulti kernel emits per query. */
     static Bitmap128 fromWords(uint64_t lo, uint64_t hi);
 
     void set(uint32_t i);

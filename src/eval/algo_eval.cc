@@ -102,20 +102,20 @@ AlgoEvaluator::AlgoEvaluator(const WorkloadConfig &cfg, uint32_t num_heads,
 
             const SignBits q_raw(q.data(), headDim_);
             s.concordRaw.resize(context);
-            batchConcordance(q_raw, raw_signs, 0, context,
+            batchConcordance(q_raw.words().data(), raw_signs, 0, context,
                              s.concordRaw.data());
 
             if (itq_iterations > 0) {
                 const auto qr = gemvT(rotation, q);
                 const SignBits q_itq(qr.data(), headDim_);
                 s.concordItq.resize(context);
-                batchConcordance(q_itq, itq_signs, 0, context,
-                                 s.concordItq.data());
+                batchConcordance(q_itq.words().data(), itq_signs, 0,
+                                 context, s.concordItq.data());
             }
 
             // INT8 score estimates: exact integer dot through the
             // dispatch layer, float estimate under the shared
-            // batchInt8ScoreSelect contract (one fixed multiply
+            // batchInt8ScoreSelectMultiSpans contract (one fixed multiply
             // order), scaled like s.scores so the two are comparable.
             std::vector<int8_t> q8(headDim_);
             float q_scale = 0.0f;

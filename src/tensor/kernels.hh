@@ -24,26 +24,21 @@
  * selections do not depend on the backend; tests and the bench-smoke
  * CI job enforce this.
  *
- * batchScoreSelect is the fused scan -> score -> select driver for the
- * decode hot path: it streams survivors tile by tile from the
- * concordance scan straight through dot-scale scoring into a bounded
- * top-k heap (early-rejecting against the current k-th score), never
- * materializing the full survivor or score vectors. The driver itself
- * is backend-agnostic — it composes the dispatched scan and dot ops —
- * so AVX2, NEON, and scalar all get the fused path with identical
- * results for free: NEON parity with AVX2 is by construction (NEON
- * supplies its own scan/dot primitives; there is no scalar-only
- * fallback branch inside the fused driver).
+ * There is one public driver per kernel family, in the shape the
+ * production callers use: a query GROUP (the GQA heads that share one
+ * KV head, plus optionally queries from other batched requests pinned
+ * to the same KV head) over a list of storage spans. Each packed sign
+ * row (and, in the fused select drivers, each survivor key tile) is
+ * loaded once and run through every query's concordance test and
+ * score-select heap before the stream advances. A single query is
+ * num_queries = 1; a contiguous range is one identity span.
  *
- * The *Multi variants serve a whole query group — the GQA heads that
- * share one KV head, plus optionally queries from other batched
- * requests pinned to the same KV head — in ONE streaming pass: each
- * packed sign row (and, in the fused driver, each survivor key tile)
- * is loaded once and run through every query's concordance test /
- * score-select heap before the stream advances. Per query the
- * survivors, scores, and top-k selections are bit-identical to
- * running the single-query kernel Q times; only the memory-traffic
- * shape changes (Q passes over the cache become one).
+ * The fused select drivers stream survivors tile by tile from the
+ * concordance scan straight through scoring into bounded top-k heaps,
+ * never materializing the full survivor or score vectors. They are
+ * backend-agnostic — they compose the dispatched scan and dot ops — so
+ * AVX2, NEON and scalar all get the fused path with identical results
+ * by construction.
  *
  * The backend can be forced (tests, benchmarks, A/B timing) with
  * setKernelBackend() or the LONGSIGHT_KERNELS=scalar|avx2|neon
@@ -55,10 +50,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "tensor/sign_matrix.hh"
-#include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
 #include "tensor/topk_heap.hh"
 
@@ -85,34 +78,11 @@ KernelBackend detectKernelBackend();
 void setKernelBackend(KernelBackend b);
 
 /**
- * Concordance of `query` with every row in [begin, end):
- * out[i - begin] = dim - popcount(row_i XOR query).
+ * Concordance of one packed query (see packSigns) with every row in
+ * [begin, end): out[i - begin] = dim - popcount(row_i XOR query).
  */
-void batchConcordance(const SignBits &query, const SignMatrix &m,
-                      size_t begin, size_t end, int32_t *out);
-
-/** Packed-query-words flavour of batchConcordance (see packSigns). */
 void batchConcordance(const uint64_t *query_words, const SignMatrix &m,
                       size_t begin, size_t end, int32_t *out);
-
-/**
- * SCF survivor scan: appends to `survivors` the row indices i in
- * [begin, end) with concordance(query, row_i) >= threshold, in
- * ascending order. Returns the number appended.
- */
-size_t batchConcordanceScan(const SignBits &query, const SignMatrix &m,
-                            size_t begin, size_t end, int threshold,
-                            std::vector<uint32_t> &survivors);
-
-/**
- * Allocation-free flavour over caller storage: query is pre-packed
- * sign words (see packSigns), survivors must hold end - begin entries.
- * Returns the survivor count. Identical order and contents to the
- * vector flavour.
- */
-size_t batchConcordanceScan(const uint64_t *query_words,
-                            const SignMatrix &m, size_t begin, size_t end,
-                            int threshold, uint32_t *survivors);
 
 /**
  * Pack the sign pattern of v[0..dim) into words ((dim + 63) / 64 of
@@ -143,20 +113,6 @@ void blockSignReduce(const uint64_t *signs, size_t words_per_row,
                      size_t rows, uint64_t *out);
 
 /**
- * PFU-shaped scan: bitmap over up to 128 rows starting at `begin`;
- * bit j of out (j < num_keys) is set iff row begin+j passes.
- * out[0] holds keys 0..63, out[1] keys 64..127.
- */
-void concordanceBitmap(const SignBits &query, const SignMatrix &m,
-                       size_t begin, uint32_t num_keys, int threshold,
-                       uint64_t out[2]);
-
-/** Packed-query-words flavour of concordanceBitmap. */
-void concordanceBitmap(const uint64_t *query_words, const SignMatrix &m,
-                       size_t begin, uint32_t num_keys, int threshold,
-                       uint64_t out[2]);
-
-/**
  * Survivor scoring: out[j] = (q . keys[indices[j]]) * scale for
  * j in [0, count), accumulated in double precision per key in
  * ascending dimension order (bit-identical to linalg dot()).
@@ -169,42 +125,46 @@ void batchDotScaleAt(const float *q, const Matrix &keys,
 void batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
                         size_t end, float scale, float *out);
 
-/**
- * Fused scan -> score -> select over key rows [begin, end): every row
- * whose sign concordance with query_words reaches `threshold` is
- * scored ((q . key_row) * scale, standard double accumulation) and
- * offered to a bounded top-k heap in `out` (caller storage, capacity
- * >= min(k, end - begin) entries). Survivors stream through in fixed-
- * size tiles; the full survivor index and score vectors are never
- * materialized, and candidates that cannot beat the current k-th
- * entry are rejected with a single compare.
- *
- * Returns the number of entries written to `out`, sorted best-first
- * (score descending, index ascending on ties) — element-for-element
- * identical to running batchConcordanceScan + batchDotScaleAt +
- * topkSelect over the same range, on every backend. When
- * survivor_count is non-null it receives the total number of rows
- * that passed the concordance filter (the SCF survivor statistic).
- */
-size_t batchScoreSelect(const uint64_t *query_words,
-                        const SignMatrix &signs, size_t begin, size_t end,
-                        int threshold, const float *q, const Matrix &keys,
-                        float scale, size_t k, ScoredIndex *out,
-                        size_t *survivor_count = nullptr);
-
-/** Queries one multi-query kernel call serves at most; the public
- *  drivers below chunk larger groups transparently (each chunk is one
+/** Queries one multi-query kernel call serves at most; the drivers
+ *  below chunk larger groups transparently (each chunk is one
  *  streaming pass). Matches the PFU's per-block query capacity. */
 inline constexpr size_t kMaxScanQueries = 16;
 
 /**
+ * Multi-query SCF survivor scan over rows [begin, end): query q's
+ * packed sign words live at query_words + q * m.wordsPerRow() (see
+ * packSigns); its survivors — the rows whose batchConcordance reaches
+ * `threshold` — land at survivors + q * stride in ascending row order
+ * and counts[q] receives how many. `stride` must be >= end - begin and
+ * `counts` holds num_queries entries (zeroed by this call). All
+ * queries in a chunk share one pass over the sign rows; a single
+ * query is num_queries = 1.
+ */
+void batchScanMulti(const uint64_t *query_words, size_t num_queries,
+                    const SignMatrix &m, size_t begin, size_t end,
+                    int threshold, uint32_t *survivors, size_t stride,
+                    size_t *counts);
+
+/**
+ * PFU-shaped multi-query scan: out + q * 2 receives query q's 128-bit
+ * survivor bitmap over keys [begin, begin + num_keys) (num_keys <=
+ * 128): bit j of out[q * 2] (keys 0..63) or out[q * 2 + 1] (keys
+ * 64..127) is set iff row begin + j passes the threshold. One pass
+ * over the block's sign rows serves every query.
+ */
+void concordanceBitmapMulti(const uint64_t *query_words,
+                            size_t num_queries, const SignMatrix &m,
+                            size_t begin, uint32_t num_keys,
+                            int threshold, uint64_t *out);
+
+/**
  * One contiguous run of physical sign/key rows backing a logical token
- * range — the unit a paged KV cache hands the scan drivers. Storage
- * rows [physBegin, physBegin + count) hold logical tokens
- * [logicalBase, logicalBase + count); a flat cache is the degenerate
- * single span with physBegin == logicalBase. Span lists must ascend in
- * logical order so the *Spans drivers offer candidates in exactly the
- * sequence the contiguous drivers would.
+ * range — the unit a KV cache hands the select drivers. Storage rows
+ * [physBegin, physBegin + count) hold logical tokens [logicalBase,
+ * logicalBase + count). A contiguous range [begin, end) is the single
+ * identity span {begin, end - begin, begin}, which is what a flat
+ * cache emits. Span lists must ascend in logical order so candidates
+ * reach the heaps in logical order.
  */
 struct ScanSpan
 {
@@ -214,85 +174,28 @@ struct ScanSpan
 };
 
 /**
- * Span-list flavour of batchScanMulti: scans every span in order and
- * emits LOGICAL token indices (each span's physical rows remapped by
- * its logicalBase), appended per query at survivors + q * stride in
- * ascending logical order; counts[q] receives the total. stride must
- * be >= the summed span length. When span_survivors is non-null,
- * span_survivors[s] receives span s's survivor total summed over all
- * queries (the SCF residency statistic). On a single span with
- * physBegin == logicalBase this is element-identical to batchScanMulti
- * over [physBegin, physBegin + count).
- */
-void batchScanMultiSpans(const uint64_t *query_words, size_t num_queries,
-                         const SignMatrix &m, const ScanSpan *spans,
-                         size_t num_spans, int threshold,
-                         uint32_t *survivors, size_t stride, size_t *counts,
-                         size_t *span_survivors = nullptr);
-
-/**
- * Multi-query SCF survivor scan over rows [begin, end): query q's
- * packed sign words live at query_words + q * m.wordsPerRow() (see
- * packSigns); its survivors land at survivors + q * stride in
- * ascending row order and counts[q] receives how many. `stride` must
- * be >= end - begin and `counts` holds num_queries entries (zeroed by
- * this call). Per query, output is identical to batchConcordanceScan
- * with that query alone — but all queries in a chunk share one pass
- * over the sign rows.
- */
-void batchScanMulti(const uint64_t *query_words, size_t num_queries,
-                    const SignMatrix &m, size_t begin, size_t end,
-                    int threshold, uint32_t *survivors, size_t stride,
-                    size_t *counts);
-
-/**
- * Multi-query flavour of concordanceBitmap: out + q * 2 receives
- * query q's 128-bit survivor bitmap over keys [begin, begin +
- * num_keys). One pass over the block's sign rows serves every query;
- * per query the bitmap equals the single-query concordanceBitmap.
- */
-void concordanceBitmapMulti(const uint64_t *query_words,
-                            size_t num_queries, const SignMatrix &m,
-                            size_t begin, uint32_t num_keys,
-                            int threshold, uint64_t *out);
-
-/**
- * Multi-query fused scan -> score -> select: batchScoreSelect for a
- * whole query group in one pass over the sign rows and key tiles.
+ * Fused multi-query scan -> score -> select over a span list — the
+ * decode hot path. Every row whose sign concordance with a query
+ * reaches `threshold` is scored ((q . key_row) * scale, standard
+ * double accumulation) and offered to that query's bounded top-k
+ * heap. Survivors stream through in fixed-size tiles; the survivor
+ * index and score vectors are never materialized, and candidates that
+ * cannot beat the current k-th entry are rejected with one compare.
+ *
  * Query q's packed signs are at query_words + q * signs.wordsPerRow(),
  * its float vector at queries + q * query_stride, its result heap at
- * out + q * out_stride (out_stride >= min(k, end - begin)), and
- * out_sizes[q] receives its entry count (sorted best-first). When
- * survivor_counts is non-null, survivor_counts[q] receives query q's
- * SCF survivor total. Every per-query output is element-identical to
- * batchScoreSelect run with that query alone, on every backend; the
- * shared pass only changes how many times the sign rows and survivor
- * key tiles travel through the cache hierarchy (once per chunk of
- * kMaxScanQueries queries instead of once per query).
- */
-void batchScoreSelectMulti(const uint64_t *query_words,
-                           size_t num_queries, const SignMatrix &signs,
-                           size_t begin, size_t end, int threshold,
-                           const float *queries, size_t query_stride,
-                           const Matrix &keys, float scale, size_t k,
-                           ScoredIndex *out, size_t out_stride,
-                           size_t *out_sizes,
-                           size_t *survivor_counts = nullptr);
-
-/**
- * Span-list flavour of batchScoreSelectMulti — the fused scan -> score
- * -> select driver a paged KV cache's block table feeds. Spans stream
- * through in list order: within each span the scan and dot kernels see
- * the span's contiguous physical rows (signs and keys address the same
- * storage layout), while the indices offered to the per-query top-k
- * heaps are remapped to LOGICAL token indices. Because span lists
- * ascend logically and remapping never reorders candidates, every
- * per-query selection is element-identical to the contiguous driver
- * run over an equivalent flat layout — block size cannot change a
- * result, only which storage rows the tiles travel through. When
- * span_survivors is non-null, span_survivors[s] receives span s's
- * survivor total summed over the whole query group (the per-block SCF
- * counter that drives tier promotion/eviction).
+ * out + q * out_stride (out_stride >= min(k, total span tokens)), and
+ * out_sizes[q] receives its entry count, sorted best-first (score
+ * descending, index ascending on ties). The scan and dot kernels see
+ * each span's physical rows (signs and keys share the storage layout);
+ * heap indices are LOGICAL token ids. Because spans ascend logically,
+ * every selection is element-identical to batchScanMulti +
+ * batchDotScaleAt + topkSelect over the equivalent flat layout, on
+ * every backend — block size and query grouping cannot change a
+ * result. survivor_counts[q] (when non-null) receives query q's SCF
+ * survivor total; span_survivors[s] (when non-null) receives span s's
+ * survivor total summed over the group (the per-block counter that
+ * drives tier promotion/eviction).
  */
 void batchScoreSelectMultiSpans(
     const uint64_t *query_words, size_t num_queries,
@@ -303,71 +206,42 @@ void batchScoreSelectMultiSpans(
     size_t *survivor_counts = nullptr, size_t *span_survivors = nullptr);
 
 /**
- * Mixed-precision survivor scoring over an INT8 key arena: out[j] =
- * float(acc * scales[row]) * post_scale, where acc is the ascending
- * double-precision sum of q[d] * int8 key row d (the dotQuantized
- * contract) and row is indices[j]. `keys` is a row-major arena of dim
- * int8s per row with one float scale per row — exactly the layout
+ * Mixed-precision scoring over an INT8 key arena rows [begin, end):
+ * out[i - begin] = float(acc * scales[i]) * post_scale, where acc is
+ * the ascending double-precision sum of q[d] * int8 key row d (the
+ * dotQuantized contract). `keys` is a row-major arena of dim int8s per
+ * row with one float scale per row — exactly the layout
  * KvCache::enableKeyQuantization / KvBlockPool::ensureQuantized
  * maintain. post_scale folds the attention scale into the same float
  * multiply the unfused scoreKey path performs; pass 1.0f for the bare
  * dotQuantized result (x * 1.0f is exact). Bit-identical across
  * backends.
  */
-void batchQuantDotAt(const float *q, const int8_t *keys,
-                     const float *scales, size_t dim,
-                     const uint32_t *indices, size_t count,
-                     float post_scale, float *out);
-
-/** Range flavour: out[i - begin] over arena rows [begin, end). */
 void batchQuantDotRange(const float *q, const int8_t *keys,
                         const float *scales, size_t dim, size_t begin,
                         size_t end, float post_scale, float *out);
 
 /**
- * Exact INT8 x INT8 batch dot: out[j] = sum_d q[d] * key_row[d] in
- * int32, row = indices[j] (or first + j when indices is null). Pure
- * integer math — overflow-free for dim <= 2^17 at the +-127 range
- * quantizeInt8Into produces — so every backend (scalar, AVX2
- * maddubs, AVX-512 VNNI) is bit-identical by construction. This is
- * the INT8 filter's estimation primitive: both query and key are
- * quantized, and the float estimate float(out[j]) * (q_scale *
- * key_scale) is derived by the callers under one shared contract.
+ * Exact INT8 x INT8 batch dot over arena rows [begin, end):
+ * out[i - begin] = sum_d q[d] * key_row_i[d] in int32. Pure integer
+ * math — overflow-free for dim <= 2^17 at the +-127 range
+ * quantizeInt8Into produces — so every backend (scalar, AVX2 maddubs,
+ * AVX-512 VNNI) is bit-identical by construction. This is the INT8
+ * filter's estimation primitive: both query and key are quantized, and
+ * the float estimate float(out[j]) * (q_scale * key_scale) is derived
+ * by the callers under one shared contract.
  */
-void batchInt8DotAt(const int8_t *q, const int8_t *keys, size_t dim,
-                    const uint32_t *indices, size_t count, int32_t *out);
-
-/** Range flavour of batchInt8DotAt over arena rows [begin, end). */
 void batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
                        size_t begin, size_t end, int32_t *out);
 
 /**
- * Fused quantized scan -> score -> select, mirroring batchScoreSelect:
- * rows in [begin, end) passing the sign-concordance threshold are
- * scored against the INT8 key arena (batchQuantDotAt contract:
- * float(acc * scales[row]) * post_scale) and offered to a bounded
- * top-k heap in `out` (capacity >= min(k, end - begin)). Returns the
- * entry count, sorted best-first; survivor_count receives the SCF
- * survivor total when non-null. Element-identical on every backend to
- * scan + per-survivor scoreKey * post_scale.
- */
-size_t batchQuantScoreSelect(const uint64_t *query_words,
-                             const SignMatrix &signs, size_t begin,
-                             size_t end, int threshold, const float *q,
-                             const int8_t *keys, const float *scales,
-                             size_t dim, float post_scale, size_t k,
-                             ScoredIndex *out,
-                             size_t *survivor_count = nullptr);
-
-/**
- * Span-list, multi-query flavour of batchQuantScoreSelect — the
- * paged-KV fused driver for quantized scoring, structured exactly like
- * batchScoreSelectMultiSpans: the scan and INT8 dot kernels see each
- * span's contiguous physical rows (sign rows, arena rows, and scales
- * share the physical layout) while the indices offered to the
- * per-query heaps are remapped to logical token ids. Per query the
- * selection is element-identical to scanning and scoring the
- * equivalent flat layout, on every backend.
+ * batchScoreSelectMultiSpans with quantized scoring: survivors are
+ * scored against the INT8 key arena (batchQuantDotRange contract:
+ * float(acc * scales[row]) * post_scale) instead of the float keys.
+ * Sign rows, arena rows and scales share the physical layout; heap
+ * indices are logical token ids. Per query the selection is
+ * element-identical to scanning and scoring the equivalent flat
+ * layout, on every backend.
  */
 void batchQuantScoreSelectMultiSpans(
     const uint64_t *query_words, size_t num_queries,
@@ -379,32 +253,21 @@ void batchQuantScoreSelectMultiSpans(
     size_t *span_survivors = nullptr);
 
 /**
- * Fused INT8-estimation score -> select over arena rows [begin, end):
- * EVERY row is scored with the exact integer dot (batchInt8DotAt) and
- * the float estimate float(idot) * ((q_scale * post_scale) *
- * scales[row]) — one fixed multiplication order, so selections are
- * deterministic and backend-independent — then offered to a bounded
- * top-k heap in `out` (capacity >= min(k, end - begin)). Returns the
- * entry count, sorted best-first. This is the INT8 FilterBackend's
- * candidate selector: where SCF scans 1-bit signatures and scores
- * survivors, this estimates 8-bit scores for the whole range and
- * keeps the top k.
- */
-size_t batchInt8ScoreSelect(const int8_t *q8, float q_scale,
-                            const int8_t *keys, const float *scales,
-                            size_t dim, size_t begin, size_t end,
-                            float post_scale, size_t k, ScoredIndex *out);
-
-/**
- * Span-list, multi-query flavour of batchInt8ScoreSelect: query q's
- * int8 vector lives at q8s + q * dim with scale q_scales[q]; its heap
- * at out + q * out_stride (capacity >= min(k, total span tokens)) and
- * out_sizes[q] receives the entry count (sorted best-first). Heap
+ * Fused INT8-estimation score -> select over a span list: EVERY row is
+ * scored with the exact integer dot (batchInt8DotRange) and the float
+ * estimate float(idot) * ((q_scale * post_scale) * scales[row]) — one
+ * fixed multiplication order, so selections are deterministic and
+ * backend-independent — then offered to a bounded top-k heap. Query
+ * q's int8 vector lives at q8s + q * dim with scale q_scales[q]; its
+ * heap at out + q * out_stride (capacity >= min(k, total span tokens))
+ * and out_sizes[q] receives the entry count (sorted best-first). Heap
  * indices are logical token ids; estimation reads the spans' physical
  * arena rows. When span_candidates is non-null, span_candidates[s]
  * receives num_queries * spans[s].count — every row is a candidate
  * under estimation, the analogue of the SCF span survivor counter for
- * residency accounting.
+ * residency accounting. This is the INT8 FilterBackend's candidate
+ * selector: where SCF scans 1-bit signatures and scores survivors,
+ * this estimates 8-bit scores for every row and keeps the top k.
  */
 void batchInt8ScoreSelectMultiSpans(
     const int8_t *q8s, const float *q_scales, size_t num_queries,
@@ -422,15 +285,6 @@ struct KernelOps
     void (*concordance)(const uint64_t *q, const uint64_t *signs,
                         size_t words_per_row, size_t rows, int dim,
                         int32_t *out);
-    /** Write base+r for rows passing threshold to out (caller storage,
-     *  capacity >= rows); returns the count. */
-    size_t (*scan)(const uint64_t *q, const uint64_t *signs,
-                   size_t words_per_row, size_t rows, int dim,
-                   int threshold, uint32_t base, uint32_t *out);
-    /** Set bit r of out[2] for rows passing threshold (rows <= 128). */
-    void (*bitmap)(const uint64_t *q, const uint64_t *signs,
-                   size_t words_per_row, size_t rows, int dim,
-                   int threshold, uint64_t out[2]);
     /** out[j] = float(sum_d q[d]*key_row[d]) * scale; row j is
      *  keys + idx[j]*stride when idx, keys + (first+j)*stride else. */
     void (*dotAt)(const float *q, const float *keys, size_t stride,
@@ -441,14 +295,16 @@ struct KernelOps
      *  qs + q * words_per_row, its survivors append at
      *  out + q * stride + counts[q], and counts[q] advances in place
      *  (callers zero counts before the first tile, so tiles
-     *  accumulate). Per query identical to scan(). */
+     *  accumulate). Per query identical to thresholding
+     *  concordance(): row r passes iff its concordance >= threshold. */
     void (*scanMulti)(const uint64_t *qs, size_t num_queries,
                       const uint64_t *signs, size_t words_per_row,
                       size_t rows, int dim, int threshold, uint32_t base,
                       uint32_t *out, size_t stride, size_t *counts);
     /** One pass over rows <= 128 sign rows filling out + q * 2 with
-     *  query q's survivor bitmap (out fully overwritten). Per query
-     *  identical to bitmap(). */
+     *  query q's survivor bitmap: bit r of out[q * 2 + r / 64] is set
+     *  iff row r passes (out fully overwritten). Per query identical to
+     *  thresholding concordance(). */
     void (*bitmapMulti)(const uint64_t *qs, size_t num_queries,
                         const uint64_t *signs, size_t words_per_row,
                         size_t rows, int dim, int threshold,
@@ -468,13 +324,13 @@ struct KernelOps
                        const float *scales, size_t stride, size_t dim,
                        const uint32_t *idx, size_t first, size_t count,
                        float post_scale, float *out);
-    /** Exact int32 dot of an int8 query against int8 key rows; same
-     *  idx/first row addressing as dotAt. Integer math — backends are
+    /** Exact int32 dot of an int8 query against the int8 key rows
+     *  keys + (first+j)*stride, j < count. Integer math — backends are
      *  free to reassociate (maddubs / vpdpbusd) because the result is
      *  exact either way. */
     void (*int8DotAt)(const int8_t *q, const int8_t *keys, size_t stride,
-                      size_t dim, const uint32_t *idx, size_t first,
-                      size_t count, int32_t *out);
+                      size_t dim, size_t first, size_t count,
+                      int32_t *out);
 };
 
 /**

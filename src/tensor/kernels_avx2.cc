@@ -78,58 +78,6 @@ rowMismatches(const uint64_t *q, const uint64_t *row, size_t wpr)
     return mismatches;
 }
 
-/**
- * Shared burst walker: calls emit(row, concordance_ok) for every row
- * in ascending order, with the d<=64 / d<=128 layouts fully packed.
- */
-template <typename Emit>
-LS_AVX2 inline void
-forEachRow(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, Emit emit)
-{
-    // A row passes iff mismatches <= dim - threshold.
-    const long long limit = static_cast<long long>(dim) -
-        static_cast<long long>(threshold);
-    size_t r = 0;
-    if (wpr == 1) {
-        const __m256i qv = _mm256_set1_epi64x(
-            static_cast<long long>(q[0]));
-        const __m256i lim = _mm256_set1_epi64x(limit);
-        for (; r + 4 <= rows; r += 4) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(signs + r)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            // cnt > limit per lane -> fail; pass bits are the rest.
-            const int fail = _mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpgt_epi64(cnt, lim)));
-            emit(r + 0, (fail & 1) == 0);
-            emit(r + 1, (fail & 2) == 0);
-            emit(r + 2, (fail & 4) == 0);
-            emit(r + 3, (fail & 8) == 0);
-        }
-    } else if (wpr == 2) {
-        const __m256i qv = _mm256_setr_epi64x(
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]),
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]));
-        for (; r + 2 <= rows; r += 2) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    signs + r * 2)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            // Fold word pairs: lanes (0+1) and (2+3) are row totals.
-            const __m256i folded = _mm256_add_epi64(
-                cnt, _mm256_shuffle_epi32(cnt, _MM_SHUFFLE(1, 0, 3, 2)));
-            emit(r + 0, _mm256_extract_epi64(folded, 0) <= limit);
-            emit(r + 1, _mm256_extract_epi64(folded, 2) <= limit);
-        }
-    }
-    for (; r < rows; ++r)
-        emit(r, rowMismatches(q, signs + r * wpr, wpr) <= limit);
-}
-
 LS_AVX2 void
 avx2Concordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
                 size_t rows, int dim, int32_t *out)
@@ -171,85 +119,6 @@ avx2Concordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
         out[r] = dim - rowMismatches(q, signs + r * wpr, wpr);
 }
 
-LS_AVX2 size_t
-avx2Scan(const uint64_t *q, const uint64_t *signs, size_t wpr,
-         size_t rows, int dim, int threshold, uint32_t base,
-         uint32_t *out)
-{
-    // Branchless compaction into the caller's span (contract: capacity
-    // >= rows): store every candidate index unconditionally and
-    // advance the cursor by the pass bit. At typical ~50% survivor
-    // rates the mispredicted per-row branch costs more than the
-    // wasted stores.
-    uint32_t *dst = out;
-    size_t n = 0;
-
-    const long long limit = static_cast<long long>(dim) -
-        static_cast<long long>(threshold);
-    size_t r = 0;
-    if (wpr == 1) {
-        const __m256i qv = _mm256_set1_epi64x(
-            static_cast<long long>(q[0]));
-        const __m256i lim = _mm256_set1_epi64x(limit);
-        for (; r + 4 <= rows; r += 4) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(signs + r)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            const int pass = ~_mm256_movemask_pd(_mm256_castsi256_pd(
-                                 _mm256_cmpgt_epi64(cnt, lim))) &
-                0xf;
-            dst[n] = base + static_cast<uint32_t>(r);
-            n += pass & 1;
-            dst[n] = base + static_cast<uint32_t>(r) + 1;
-            n += (pass >> 1) & 1;
-            dst[n] = base + static_cast<uint32_t>(r) + 2;
-            n += (pass >> 2) & 1;
-            dst[n] = base + static_cast<uint32_t>(r) + 3;
-            n += (pass >> 3) & 1;
-        }
-    } else if (wpr == 2) {
-        const __m256i qv = _mm256_setr_epi64x(
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]),
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]));
-        const __m256i lim = _mm256_set1_epi64x(limit);
-        for (; r + 2 <= rows; r += 2) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    signs + r * 2)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            const __m256i folded = _mm256_add_epi64(
-                cnt, _mm256_shuffle_epi32(cnt, _MM_SHUFFLE(1, 0, 3, 2)));
-            const int fail = _mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpgt_epi64(folded, lim)));
-            dst[n] = base + static_cast<uint32_t>(r);
-            n += ~fail & 1;
-            dst[n] = base + static_cast<uint32_t>(r) + 1;
-            n += (~fail >> 2) & 1;
-        }
-    }
-    for (; r < rows; ++r) {
-        dst[n] = base + static_cast<uint32_t>(r);
-        n += rowMismatches(q, signs + r * wpr, wpr) <= limit ? 1 : 0;
-    }
-
-    return n;
-}
-
-LS_AVX2 void
-avx2Bitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, uint64_t out[2])
-{
-    out[0] = out[1] = 0;
-    forEachRow(q, signs, wpr, rows, dim, threshold,
-               [&](size_t r, bool pass) {
-                   if (pass)
-                       out[r >> 6] |= uint64_t{1} << (r & 63);
-               });
-}
-
 #define LS_AVX512 \
     __attribute__((target( \
         "avx512f,avx512bw,avx512vl,avx512vpopcntdq,bmi2,popcnt")))
@@ -262,8 +131,6 @@ avx2Bitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
  * popcount sequence the AVX2 path pays simply disappears. Survivor
  * emission stays per-query branchless store-then-advance in ascending
  * row order, so results remain bit-identical to the scalar backend.
- * Only the new multi-query entry points take this path; the
- * single-query kernels keep the plain AVX2 implementation.
  */
 LS_AVX512 inline void
 avx512ScanMulti4W1(const uint64_t *qs, const uint64_t *signs,
@@ -705,13 +572,10 @@ int8Dot1Vnni(const int8_t *q, const int8_t *k, size_t dim)
 
 LS_AVXVNNI void
 vnniInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
-              size_t dim, const uint32_t *idx, size_t first,
-              size_t count, int32_t *out)
+              size_t dim, size_t first, size_t count, int32_t *out)
 {
-    for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        out[j] = int8Dot1Vnni(q, keys + row * stride, dim);
-    }
+    for (size_t j = 0; j < count; ++j)
+        out[j] = int8Dot1Vnni(q, keys + (first + j) * stride, dim);
 }
 
 bool
@@ -763,21 +627,18 @@ int8Dot1(const int8_t *q, const int8_t *k, size_t dim)
 
 LS_AVX2 void
 avx2Int8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
-              size_t dim, const uint32_t *idx, size_t first,
-              size_t count, int32_t *out)
+              size_t dim, size_t first, size_t count, int32_t *out)
 {
     // The VNNI kernel needs >= 64-element rows to beat maddubs;
     // splitting by dim (not per call site) keeps the decision
     // data-independent. Both paths are exact, so the choice cannot
     // change a result.
     if (dim >= 64 && avxVnniAvailable()) {
-        vnniInt8DotAt(q, keys, stride, dim, idx, first, count, out);
+        vnniInt8DotAt(q, keys, stride, dim, first, count, out);
         return;
     }
-    for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        out[j] = int8Dot1(q, keys + row * stride, dim);
-    }
+    for (size_t j = 0; j < count; ++j)
+        out[j] = int8Dot1(q, keys + (first + j) * stride, dim);
 }
 
 LS_AVX2 void
@@ -823,10 +684,9 @@ avx2SignReduce(const uint64_t *signs, size_t wpr, size_t rows,
         out[w] = signReduceColumnCsa(signs, wpr, rows, w);
 }
 
-const KernelOps kAvx2Ops = {avx2Concordance, avx2Scan, avx2Bitmap,
-                            avx2DotAt, avx2ScanMulti, avx2BitmapMulti,
-                            avx2SignReduce, avx2QuantDotAt,
-                            avx2Int8DotAt};
+const KernelOps kAvx2Ops = {avx2Concordance, avx2DotAt, avx2ScanMulti,
+                            avx2BitmapMulti, avx2SignReduce,
+                            avx2QuantDotAt, avx2Int8DotAt};
 
 bool
 cpuHasAvx2()

@@ -8,8 +8,8 @@
  * once the bit-identity contract rules out reassociation), so scores
  * are trivially identical too.
  *
- * The fused batchScoreSelect driver composes this backend's scan and
- * dot ops, so aarch64 gets the fused decode hot path at full feature
+ * The fused score-select drivers compose this backend's scan and dot
+ * ops, so aarch64 gets the fused decode hot path at full feature
  * parity with AVX2 — no scalar-only fallback is involved.
  */
 
@@ -49,34 +49,6 @@ neonConcordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
         out[r] = dim - rowMismatches(q, signs + r * wpr, wpr);
 }
 
-size_t
-neonScan(const uint64_t *q, const uint64_t *signs, size_t wpr,
-         size_t rows, int dim, int threshold, uint32_t base,
-         uint32_t *out)
-{
-    // Branchless compaction into the caller's span (capacity >= rows),
-    // mirroring the AVX2 backend's store-then-advance shape.
-    const int limit = dim - threshold;
-    size_t n = 0;
-    for (size_t r = 0; r < rows; ++r) {
-        out[n] = base + static_cast<uint32_t>(r);
-        n += rowMismatches(q, signs + r * wpr, wpr) <= limit ? 1 : 0;
-    }
-    return n;
-}
-
-void
-neonBitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, uint64_t out[2])
-{
-    out[0] = out[1] = 0;
-    const int limit = dim - threshold;
-    for (size_t r = 0; r < rows; ++r) {
-        if (rowMismatches(q, signs + r * wpr, wpr) <= limit)
-            out[r >> 6] |= uint64_t{1} << (r & 63);
-    }
-}
-
 void
 neonDotAt(const float *q, const float *keys, size_t stride, size_t dim,
           const uint32_t *idx, size_t first, size_t count, float scale,
@@ -99,8 +71,9 @@ neonScanMulti(const uint64_t *qs, size_t num_queries,
               size_t *counts)
 {
     // Row-outer walk: the 128-bit sign row loads are shared across all
-    // queries (one pass over the sign stream); per query the
-    // branchless store-then-advance compaction matches neonScan.
+    // queries (one pass over the sign stream); per query, survivors
+    // compact branchlessly (store every candidate, advance the cursor
+    // by the pass bit), mirroring the AVX2 backend.
     const int limit = dim - threshold;
     for (size_t r = 0; r < rows; ++r) {
         const uint64_t *row = signs + r * wpr;
@@ -190,16 +163,14 @@ neonQuantDotAt(const float *q, const int8_t *keys, const float *scales,
 
 void
 neonInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
-              size_t dim, const uint32_t *idx, size_t first,
-              size_t count, int32_t *out)
+              size_t dim, size_t first, size_t count, int32_t *out)
 {
     // vmull_s8 widens 8 products to i16 (max |p| = 16129, sums of two
     // fit easily), vpadalq_s16 accumulates pairs into i32 lanes.
     // Integer math — exact, so bit-identical to scalar by
     // construction.
     for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        const int8_t *k = keys + row * stride;
+        const int8_t *k = keys + (first + j) * stride;
         int32x4_t acc = vdupq_n_s32(0);
         size_t i = 0;
         for (; i + 16 <= dim; i += 16) {
@@ -219,10 +190,9 @@ neonInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
     }
 }
 
-const KernelOps kNeonOps = {neonConcordance, neonScan, neonBitmap,
-                            neonDotAt, neonScanMulti, neonBitmapMulti,
-                            neonSignReduce, neonQuantDotAt,
-                            neonInt8DotAt};
+const KernelOps kNeonOps = {neonConcordance, neonDotAt, neonScanMulti,
+                            neonBitmapMulti, neonSignReduce,
+                            neonQuantDotAt, neonInt8DotAt};
 
 } // namespace
 

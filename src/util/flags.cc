@@ -99,4 +99,12 @@ Flags::unconsumed() const
     return out;
 }
 
+void
+Flags::rejectUnknown() const
+{
+    const auto leftover = unconsumed();
+    if (!leftover.empty())
+        fatal("unknown flag --", leftover.front());
+}
+
 } // namespace longsight

@@ -40,11 +40,15 @@ class Flags
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def = false) const;
 
-    /**
-     * Flags present on the command line that were never queried;
-     * call last to reject typos.
-     */
+    /** Flags present on the command line that were never queried. */
     std::vector<std::string> unconsumed() const;
+
+    /**
+     * fatal() naming the first flag that was never queried. Call after
+     * the last getter, so a typo exits with a message instead of
+     * silently running with a default.
+     */
+    void rejectUnknown() const;
 
   private:
     std::map<std::string, std::string> values_;

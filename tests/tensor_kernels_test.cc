@@ -5,8 +5,10 @@
  * results — concordance counts, survivor sets, PFU bitmaps, and
  * scaled dot products — across awkward shapes: dims that are not a
  * multiple of 64, row counts that are not a multiple of the vector
- * width, nonzero begin offsets, and empty regions. Dot kernels are
- * additionally checked bit-for-bit against the pre-existing scalar
+ * width, nonzero begin offsets, and empty regions. Scans and bitmaps
+ * run one query through the multi-query drivers (num_queries = 1) and
+ * are checked against SignBits::concordance plus the threshold. Dot
+ * kernels are additionally checked bit-for-bit against the scalar
  * linalg dot(), which defines the accumulation contract.
  */
 
@@ -56,6 +58,32 @@ struct Shape
     size_t rows;
 };
 
+/** Rows in [begin, end) whose concordance with q reaches th. */
+std::vector<uint32_t>
+referenceSurvivors(const SignBits &q, const SignMatrix &m, size_t begin,
+                   size_t end, int th)
+{
+    std::vector<uint32_t> out;
+    for (size_t i = begin; i < end; ++i)
+        if (q.concordance(m.extract(i)) >= th)
+            out.push_back(static_cast<uint32_t>(i));
+    return out;
+}
+
+/** One-query scan through the multi-query driver. */
+std::vector<uint32_t>
+scanOne(const SignBits &q, const SignMatrix &m, size_t begin, size_t end,
+        int th)
+{
+    std::vector<uint32_t> out(end - begin + 1, 0xdeadu);
+    size_t count = 777;
+    batchScanMulti(q.words().data(), 1, m, begin, end, th, out.data(),
+                   end - begin, &count);
+    EXPECT_LE(count, end - begin);
+    out.resize(count);
+    return out;
+}
+
 const Shape kShapes[] = {
     {1, 5},    {37, 13},  {64, 1},    {64, 129}, {100, 77},
     {128, 4},  {128, 130}, {129, 33}, {200, 50}, {256, 257},
@@ -92,7 +120,7 @@ TEST(Kernels, ConcordanceMatchesSignBitsAllBackends)
         for (KernelBackend b : availableBackends()) {
             ScopedBackend guard(b);
             std::vector<int32_t> got(sh.rows, -1);
-            batchConcordance(q, m, 0, sh.rows, got.data());
+            batchConcordance(q.words().data(), m, 0, sh.rows, got.data());
             EXPECT_EQ(got, ref) << kernelBackendName(b) << " dim "
                                 << sh.dim << " rows " << sh.rows;
         }
@@ -116,7 +144,7 @@ TEST(Kernels, ConcordanceSubrange)
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
         std::vector<int32_t> got(end - begin, -1);
-        batchConcordance(q, m, begin, end, got.data());
+        batchConcordance(q.words().data(), m, begin, end, got.data());
         EXPECT_EQ(got, ref) << kernelBackendName(b);
     }
 }
@@ -133,18 +161,10 @@ TEST(Kernels, ScanSurvivorsBitIdenticalAcrossBackends)
         // Sweep thresholds from keep-everything to keep-nothing.
         const int dim_i = static_cast<int>(sh.dim);
         for (int th : {0, dim_i / 3, dim_i / 2, 2 * dim_i / 3, dim_i + 1}) {
-            std::vector<uint32_t> ref;
-            for (size_t i = 0; i < sh.rows; ++i)
-                if (q.concordance(m.extract(i)) >= th)
-                    ref.push_back(static_cast<uint32_t>(i));
-
+            const auto ref = referenceSurvivors(q, m, 0, sh.rows, th);
             for (KernelBackend b : availableBackends()) {
                 ScopedBackend guard(b);
-                std::vector<uint32_t> got;
-                const size_t n =
-                    batchConcordanceScan(q, m, 0, sh.rows, th, got);
-                EXPECT_EQ(n, got.size());
-                EXPECT_EQ(got, ref)
+                EXPECT_EQ(scanOne(q, m, 0, sh.rows, th), ref)
                     << kernelBackendName(b) << " dim " << sh.dim
                     << " rows " << sh.rows << " th " << th;
             }
@@ -152,7 +172,7 @@ TEST(Kernels, ScanSurvivorsBitIdenticalAcrossBackends)
     }
 }
 
-TEST(Kernels, ScanAppendsWithOffsets)
+TEST(Kernels, ScanSubrangeKeepsAbsoluteIndices)
 {
     Rng rng(104);
     const size_t dim = 64, rows = 300;
@@ -162,17 +182,12 @@ TEST(Kernels, ScanAppendsWithOffsets)
     const SignBits q(qv.data(), dim);
     const int th = 36;
     const size_t begin = 43, end = 291;
-
-    std::vector<uint32_t> ref{9999}; // scan must append, not clear
-    for (size_t i = begin; i < end; ++i)
-        if (q.concordance(m.extract(i)) >= th)
-            ref.push_back(static_cast<uint32_t>(i));
-
+    const auto ref = referenceSurvivors(q, m, begin, end, th);
+    ASSERT_FALSE(ref.empty());
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
-        std::vector<uint32_t> got{9999};
-        batchConcordanceScan(q, m, begin, end, th, got);
-        EXPECT_EQ(got, ref) << kernelBackendName(b);
+        EXPECT_EQ(scanOne(q, m, begin, end, th), ref)
+            << kernelBackendName(b);
     }
 }
 
@@ -186,17 +201,15 @@ TEST(Kernels, EmptyRegionYieldsNothing)
     const SignBits q(qv.data(), dim);
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
-        std::vector<uint32_t> got;
-        EXPECT_EQ(batchConcordanceScan(q, m, 4, 4, 0, got), 0u);
-        EXPECT_TRUE(got.empty());
+        EXPECT_TRUE(scanOne(q, m, 4, 4, 0).empty());
         uint64_t bits[2] = {~0ULL, ~0ULL};
-        concordanceBitmap(q, m, 4, 0, 0, bits);
+        concordanceBitmapMulti(q.words().data(), 1, m, 4, 0, 0, bits);
         EXPECT_EQ(bits[0], 0u);
         EXPECT_EQ(bits[1], 0u);
     }
 }
 
-TEST(Kernels, BitmapAgreesWithScan)
+TEST(Kernels, BitmapMatchesThresholdedConcordance)
 {
     Rng rng(106);
     for (uint32_t num_keys : {1u, 63u, 64u, 65u, 127u, 128u}) {
@@ -207,19 +220,20 @@ TEST(Kernels, BitmapAgreesWithScan)
         const SignBits q(qv.data(), dim);
         const int th = 52;
         const size_t begin = 7;
+        const auto surv =
+            referenceSurvivors(q, m, begin, begin + num_keys, th);
 
         for (KernelBackend b : availableBackends()) {
             ScopedBackend guard(b);
-            std::vector<uint32_t> surv;
-            batchConcordanceScan(q, m, begin, begin + num_keys, th, surv);
-            uint64_t bits[2];
-            concordanceBitmap(q, m, begin, num_keys, th, bits);
+            uint64_t bits[2] = {~0ULL, ~0ULL};
+            concordanceBitmapMulti(q.words().data(), 1, m, begin,
+                                   num_keys, th, bits);
             for (uint32_t j = 0; j < num_keys; ++j) {
                 const bool in_bitmap = (bits[j >> 6] >> (j & 63)) & 1;
-                const bool in_scan = std::binary_search(
+                const bool in_ref = std::binary_search(
                     surv.begin(), surv.end(),
                     static_cast<uint32_t>(begin + j));
-                EXPECT_EQ(in_bitmap, in_scan)
+                EXPECT_EQ(in_bitmap, in_ref)
                     << kernelBackendName(b) << " keys " << num_keys
                     << " j " << j;
             }

@@ -2,12 +2,14 @@
  * @file
  * Multi-query (GQA query group) kernel parity tests. The contract
  * under test is the whole point of the grouped scan layer: for every
- * compiled-in backend, batchScanMulti, concordanceBitmapMulti, and
- * batchScoreSelectMulti must produce BIT-IDENTICAL per-query results
- * to running the single-query kernel once per query — across awkward
- * dims, row counts, thresholds, subranges, query counts (including
- * one query, non-multiples of the SIMD chunk width, and more than
- * kMaxScanQueries to force driver chunking), and empty regions.
+ * compiled-in backend, batchScanMulti and concordanceBitmapMulti must
+ * match an independent reference (the scalar batchConcordance of each
+ * query, thresholded), and batchScoreSelectMultiSpans must produce
+ * BIT-IDENTICAL per-query results to running it once per query with
+ * num_queries = 1 — across awkward dims, row counts, thresholds,
+ * subranges, query counts (including one query, non-multiples of the
+ * SIMD chunk width, and more than kMaxScanQueries to force driver
+ * chunking), and empty regions.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +20,6 @@
 
 #include "tensor/kernels.hh"
 #include "tensor/sign_matrix.hh"
-#include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
 #include "tensor/topk_heap.hh"
 #include "util/rng.hh"
@@ -67,7 +68,6 @@ struct QueryGroup
 {
     Matrix q;
     std::vector<uint64_t> words;
-    std::vector<SignBits> bits;
 };
 
 QueryGroup
@@ -80,12 +80,28 @@ makeQueries(Rng &rng, size_t nq, size_t dim, size_t wpr)
         const auto v = rng.gaussianVec(dim);
         g.q.setRow(i, v.data());
         packSigns(v.data(), dim, g.words.data() + i * wpr);
-        g.bits.emplace_back(v.data(), dim);
     }
     return g;
 }
 
-TEST(MultiScan, SurvivorsMatchSingleQueryAllBackends)
+/** Independent scan reference: rows in [begin, end) whose scalar
+ *  batchConcordance with query i of g reaches th. */
+std::vector<uint32_t>
+referenceSurvivors(const QueryGroup &g, size_t i, const SignMatrix &m,
+                   size_t begin, size_t end, int th)
+{
+    ScopedBackend scalar(KernelBackend::Scalar);
+    std::vector<int32_t> conc(end - begin);
+    batchConcordance(g.words.data() + i * m.wordsPerRow(), m, begin, end,
+                     conc.data());
+    std::vector<uint32_t> out;
+    for (size_t r = begin; r < end; ++r)
+        if (conc[r - begin] >= th)
+            out.push_back(static_cast<uint32_t>(r));
+    return out;
+}
+
+TEST(MultiScan, SurvivorsMatchThresholdedConcordanceAllBackends)
 {
     Rng rng(201);
     for (const Shape &sh : kShapes) {
@@ -97,14 +113,11 @@ TEST(MultiScan, SurvivorsMatchSingleQueryAllBackends)
             const QueryGroup g = makeQueries(rng, nq, sh.dim,
                                              m.wordsPerRow());
             for (int th : {0, dim_i / 3, dim_i / 2 + 2, dim_i + 1}) {
-                // Per-query reference: the (already cross-verified)
-                // single-query scan on the same backend.
+                std::vector<std::vector<uint32_t>> ref(nq);
+                for (size_t i = 0; i < nq; ++i)
+                    ref[i] = referenceSurvivors(g, i, m, 0, sh.rows, th);
                 for (KernelBackend b : availableBackends()) {
                     ScopedBackend guard(b);
-                    std::vector<std::vector<uint32_t>> ref(nq);
-                    for (size_t i = 0; i < nq; ++i)
-                        batchConcordanceScan(g.bits[i], m, 0, sh.rows,
-                                             th, ref[i]);
                     // Awkward stride: wider than the row count.
                     const size_t stride = sh.rows + 3;
                     std::vector<uint32_t> got(nq * stride, 0xdeadu);
@@ -137,11 +150,11 @@ TEST(MultiScan, SubrangeKeepsAbsoluteIndices)
     const QueryGroup g = makeQueries(rng, 4, dim, m.wordsPerRow());
     const int th = 66;
     const size_t begin = 17, end = 261;
+    std::vector<std::vector<uint32_t>> ref(4);
+    for (size_t i = 0; i < 4; ++i)
+        ref[i] = referenceSurvivors(g, i, m, begin, end, th);
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
-        std::vector<std::vector<uint32_t>> ref(4);
-        for (size_t i = 0; i < 4; ++i)
-            batchConcordanceScan(g.bits[i], m, begin, end, th, ref[i]);
         const size_t stride = end - begin;
         std::vector<uint32_t> got(4 * stride);
         std::vector<size_t> counts(4);
@@ -175,8 +188,7 @@ TEST(MultiScan, ChunksBeyondMaxQueries)
         batchScanMulti(g.words.data(), nq, m, 0, rows, th, got.data(),
                        rows, counts.data());
         for (size_t i = 0; i < nq; ++i) {
-            std::vector<uint32_t> ref;
-            batchConcordanceScan(g.bits[i], m, 0, rows, th, ref);
+            const auto ref = referenceSurvivors(g, i, m, 0, rows, th);
             ASSERT_EQ(counts[i], ref.size())
                 << kernelBackendName(b) << " q " << i;
             for (size_t j = 0; j < ref.size(); ++j)
@@ -203,7 +215,7 @@ TEST(MultiScan, EmptyRangeZeroesCounts)
     }
 }
 
-TEST(BitmapMulti, MatchesSingleQueryBitmap)
+TEST(BitmapMulti, MatchesThresholdedConcordance)
 {
     Rng rng(205);
     const size_t dim = 100, rows = 140;
@@ -220,9 +232,10 @@ TEST(BitmapMulti, MatchesSingleQueryBitmap)
                 concordanceBitmapMulti(g.words.data(), nq, m, 7,
                                        num_keys, th, got.data());
                 for (size_t i = 0; i < nq; ++i) {
-                    uint64_t ref[2];
-                    concordanceBitmap(g.bits[i], m, 7, num_keys, th,
-                                      ref);
+                    uint64_t ref[2] = {0, 0};
+                    for (uint32_t r : referenceSurvivors(
+                             g, i, m, 7, 7 + num_keys, th))
+                        ref[(r - 7) >> 6] |= uint64_t{1} << ((r - 7) & 63);
                     EXPECT_EQ(got[i * 2 + 0], ref[0])
                         << kernelBackendName(b) << " keys " << num_keys
                         << " q " << i;
@@ -235,7 +248,7 @@ TEST(BitmapMulti, MatchesSingleQueryBitmap)
     }
 }
 
-TEST(ScoreSelectMulti, TopKMatchesSingleQueryAllBackends)
+TEST(ScoreSelectMulti, GroupMatchesOneQueryPassesAllBackends)
 {
     Rng rng(206);
     for (const size_t dim : {size_t{64}, size_t{100}, size_t{128}}) {
@@ -246,40 +259,50 @@ TEST(ScoreSelectMulti, TopKMatchesSingleQueryAllBackends)
             1.0f / std::sqrt(static_cast<float>(dim));
         const int th = static_cast<int>(dim) / 2;
         const size_t wpr = m.wordsPerRow();
-        const QueryGroup g = makeQueries(rng, 4, dim, wpr);
-        for (const size_t k : {size_t{8}, size_t{64}, size_t{1000}}) {
-            const size_t kcap = std::min(k, rows);
-            for (KernelBackend b : availableBackends()) {
-                ScopedBackend guard(b);
-                std::vector<ScoredIndex> ref(4 * kcap);
-                std::vector<size_t> ref_n(4);
-                for (size_t i = 0; i < 4; ++i)
-                    ref_n[i] = batchScoreSelect(
-                        g.words.data() + i * wpr, m, 3, rows, th,
-                        g.q.row(i), keys, scale, k,
-                        ref.data() + i * kcap);
-                std::vector<ScoredIndex> got(4 * kcap);
-                std::vector<size_t> got_n(4);
-                std::vector<size_t> surv(4);
-                batchScoreSelectMulti(g.words.data(), 4, m, 3, rows, th,
-                                      g.q.row(0), g.q.cols(), keys,
-                                      scale, k, got.data(), kcap,
-                                      got_n.data(), surv.data());
-                for (size_t i = 0; i < 4; ++i) {
-                    ASSERT_EQ(got_n[i], ref_n[i])
-                        << kernelBackendName(b) << " dim " << dim
-                        << " k " << k << " q " << i;
-                    EXPECT_GE(surv[i], got_n[i]);
-                    for (size_t j = 0; j < got_n[i]; ++j) {
-                        ASSERT_EQ(got[i * kcap + j].index,
-                                  ref[i * kcap + j].index)
-                            << kernelBackendName(b) << " q " << i
-                            << " j " << j;
-                        ASSERT_EQ(got[i * kcap + j].score,
-                                  ref[i * kcap + j].score)
-                            << kernelBackendName(b) << " q " << i
-                            << " j " << j;
+        // Four queries (one GQA group) and more than kMaxScanQueries
+        // (driver chunking), over the identity span [3, rows).
+        const ScanSpan region{3, rows - 3, 3};
+        for (const size_t nq : {size_t{4}, kMaxScanQueries + 3}) {
+            const QueryGroup g = makeQueries(rng, nq, dim, wpr);
+            for (const size_t k : {size_t{8}, size_t{64}, size_t{1000}}) {
+                const size_t kcap = std::min(k, rows);
+                for (KernelBackend b : availableBackends()) {
+                    ScopedBackend guard(b);
+                    std::vector<ScoredIndex> ref(nq * kcap);
+                    std::vector<size_t> ref_n(nq), ref_surv(nq);
+                    for (size_t i = 0; i < nq; ++i)
+                        batchScoreSelectMultiSpans(
+                            g.words.data() + i * wpr, 1, m, &region, 1,
+                            th, g.q.row(i), dim, keys, scale, k,
+                            ref.data() + i * kcap, kcap, &ref_n[i],
+                            &ref_surv[i]);
+                    std::vector<ScoredIndex> got(nq * kcap);
+                    std::vector<size_t> got_n(nq), surv(nq);
+                    size_t span_surv = 0;
+                    batchScoreSelectMultiSpans(
+                        g.words.data(), nq, m, &region, 1, th, g.q.row(0),
+                        g.q.cols(), keys, scale, k, got.data(), kcap,
+                        got_n.data(), surv.data(), &span_surv);
+                    size_t total = 0;
+                    for (size_t i = 0; i < nq; ++i) {
+                        ASSERT_EQ(got_n[i], ref_n[i])
+                            << kernelBackendName(b) << " dim " << dim
+                            << " k " << k << " q " << i;
+                        EXPECT_EQ(surv[i], ref_surv[i]);
+                        EXPECT_GE(surv[i], got_n[i]);
+                        total += surv[i];
+                        for (size_t j = 0; j < got_n[i]; ++j) {
+                            ASSERT_EQ(got[i * kcap + j].index,
+                                      ref[i * kcap + j].index)
+                                << kernelBackendName(b) << " q " << i
+                                << " j " << j;
+                            ASSERT_EQ(got[i * kcap + j].score,
+                                      ref[i * kcap + j].score)
+                                << kernelBackendName(b) << " q " << i
+                                << " j " << j;
+                        }
                     }
+                    EXPECT_EQ(span_surv, total);
                 }
             }
         }
@@ -294,17 +317,17 @@ TEST(ScoreSelectMulti, SurvivorCountsMatchScan)
     const SignMatrix m = SignMatrix::pack(keys.data(), rows, dim);
     const int th = 64;
     const QueryGroup g = makeQueries(rng, 4, dim, m.wordsPerRow());
+    const ScanSpan all{0, rows, 0};
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
         std::vector<ScoredIndex> out(4 * rows);
         std::vector<size_t> nsel(4), surv(4);
-        batchScoreSelectMulti(g.words.data(), 4, m, 0, rows, th,
-                              g.q.row(0), g.q.cols(), keys, 0.125f,
-                              rows, out.data(), rows, nsel.data(),
-                              surv.data());
+        batchScoreSelectMultiSpans(g.words.data(), 4, m, &all, 1, th,
+                                   g.q.row(0), g.q.cols(), keys, 0.125f,
+                                   rows, out.data(), rows, nsel.data(),
+                                   surv.data());
         for (size_t i = 0; i < 4; ++i) {
-            std::vector<uint32_t> ref;
-            batchConcordanceScan(g.bits[i], m, 0, rows, th, ref);
+            const auto ref = referenceSurvivors(g, i, m, 0, rows, th);
             EXPECT_EQ(surv[i], ref.size()) << kernelBackendName(b);
             // k >= rows: the top-k IS the survivor set.
             EXPECT_EQ(nsel[i], ref.size()) << kernelBackendName(b);

@@ -80,6 +80,22 @@ TEST(Flags, UnconsumedReportsTypos)
     EXPECT_EQ(leftover[0], "wrnog");
 }
 
+TEST(Flags, RejectUnknownExitsNamingTheFlag)
+{
+    const Flags f = parse({"--right=1", "--typo=2"});
+    f.getInt("right", 0);
+    EXPECT_EXIT(f.rejectUnknown(), ::testing::ExitedWithCode(1),
+                "unknown flag --typo");
+}
+
+TEST(Flags, RejectUnknownAcceptsAllConsumed)
+{
+    const Flags f = parse({"--right=1", "pos"});
+    f.getInt("right", 0);
+    f.rejectUnknown(); // returns normally
+    SUCCEED();
+}
+
 TEST(Flags, BadIntegerDies)
 {
     const Flags f = parse({"--n=abc"});

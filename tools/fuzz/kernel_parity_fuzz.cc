@@ -4,13 +4,20 @@
  * thresholds, strides, and value patterns through EVERY compiled-in
  * kernel backend (scalar, AVX2, NEON) and asserts per-element bit
  * identity of the outputs — concordance counts, survivor sets, PFU
- * bitmaps, scaled dot products, fused score-select top-k results,
- * quantized-arena scoring (batchQuantDot*, batchInt8Dot*, and the
- * fused quant/INT8 score-selects, flat and span-list), and all *Multi
- * variants against their single-query counterparts. This is
- * the mechanized form of the SCF bit-exactness contract documented in
- * tensor/kernels.hh: survivor sets and scores must not depend on which
- * backend serves them.
+ * bitmaps, scaled dot products, fused score-select top-k results, and
+ * quantized-arena scoring (batchQuantDotRange, batchInt8DotRange and
+ * the fused quant/INT8 score-selects). This is the mechanized form of
+ * the SCF bit-exactness contract documented in tensor/kernels.hh:
+ * survivor sets and scores must not depend on which backend serves
+ * them. On every backend it also checks:
+ *
+ *  - scan and bitmap survivors against an independent reference, the
+ *    scalar batchConcordance thresholded per query;
+ *  - every grouped driver against the same driver run once per query
+ *    with num_queries = 1 (on AVX-512 hosts these reach different scan
+ *    kernels);
+ *  - every span driver over randomly split, physically permuted
+ *    storage against one identity span over the flat storage.
  *
  * Two entry points share one case runner:
  *
@@ -27,6 +34,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -38,7 +46,6 @@
 #include "tensor/kernels.hh"
 #include "tensor/quantized.hh"
 #include "tensor/sign_matrix.hh"
-#include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
 #include "tensor/topk_heap.hh"
 
@@ -46,8 +53,8 @@ namespace {
 
 using longsight::KernelBackend;
 using longsight::Matrix;
+using longsight::ScanSpan;
 using longsight::ScoredIndex;
-using longsight::SignBits;
 using longsight::SignMatrix;
 
 /** Details of the case being run, for failure reports. */
@@ -138,42 +145,81 @@ availableBackends()
     return out;
 }
 
+/** One physical layout of the keys: sign rows, float keys and the
+ *  INT8 arena (with its per-row scales) share row numbering, and
+ *  `spans` maps the case's logical range [begin, end) onto it. */
+struct Storage
+{
+    SignMatrix signs;
+    Matrix keys;
+    std::vector<int8_t> kq;
+    std::vector<float> kscales;
+    std::vector<ScanSpan> spans;
+};
+
+/** Sign rows, float keys and INT8 arena over the rows of `data`; the
+ *  arena uses per-row symmetric quantization, the
+ *  KvCache::enableKeyQuantization scheme. */
+Storage
+makeStorage(size_t dim, const std::vector<float> &data)
+{
+    const size_t rows = data.size() / dim;
+    Storage st{SignMatrix(dim), Matrix(rows, dim, data),
+               std::vector<int8_t>(rows * dim),
+               std::vector<float>(rows ? rows : 1, 1.0f), {}};
+    for (size_t r = 0; r < rows; ++r) {
+        st.signs.appendRow(st.keys.row(r));
+        longsight::quantizeInt8Into(st.keys.row(r), dim,
+                                    st.kq.data() + r * dim,
+                                    &st.kscales[r]);
+    }
+    return st;
+}
+
+/** The query group and parameters every backend runs. */
+struct Case
+{
+    size_t dim = 0, begin = 0, end = 0, k = 0, num_queries = 0;
+    int threshold = 0;
+    float scale = 0.0f;
+    std::vector<float> queries;    // num_queries x dim
+    std::vector<uint64_t> qwords;  // num_queries x wordsPerRow
+    std::vector<int8_t> q8s;       // num_queries x dim
+    std::vector<float> q8_scales;  // num_queries
+    std::vector<uint8_t> pass;     // reference: num_queries x span
+
+    size_t span() const { return end - begin; }
+    size_t stride() const { return span() ? span() : 1; }
+    size_t outStride() const
+    {
+        return std::max<size_t>(std::min(k, span()), 1);
+    }
+};
+
+/** One fused select driver's per-query results: out_stride entries
+ *  per query, of which only the first sizes[q] are contracted. */
+struct Selection
+{
+    std::vector<ScoredIndex> entries;
+    std::vector<size_t> sizes;
+    std::vector<size_t> survivors;   // SCF survivors (0 for INT8)
+    std::vector<size_t> span_counts; // per span of the storage run
+};
+
 /** Everything one backend produces for a case; memcmp-able fields. */
 struct Outputs
 {
-    std::vector<int32_t> concordance;
-    std::vector<uint32_t> scan_vec;      // vector-flavour survivors
-    std::vector<uint32_t> scan_ptr;      // caller-storage survivors
-    uint64_t bitmap[2] = {0, 0};
-    uint64_t bitmap_words[2] = {0, 0};   // packed-words flavour
-    std::vector<float> dot_at;
-    std::vector<float> dot_range;
-    std::vector<ScoredIndex> select;
-    size_t select_n = 0;
-    size_t select_survivors = 0;
-    std::vector<uint32_t> multi_scan;    // queries * stride
-    std::vector<size_t> multi_counts;
-    std::vector<uint64_t> multi_bitmap;  // queries * 2
-    std::vector<ScoredIndex> multi_select;
-    std::vector<size_t> multi_select_n;
-    std::vector<size_t> multi_survivors;
-    std::vector<uint64_t> sign_reduce;   // majority over rows [begin,end)
+    std::vector<int32_t> concordance;   // query 0 over [begin, end)
+    std::vector<uint32_t> scan;         // queries x stride
+    std::vector<size_t> scan_counts;
+    std::vector<uint64_t> bitmap;       // queries x 2
+    std::vector<float> dot_at;          // query 0 over its survivors
+    std::vector<float> dot_range;       // query 0 over [begin, end)
+    std::vector<uint64_t> sign_reduce;  // majority over rows [begin,end)
     std::vector<uint64_t> sign_reduce_q; // majority over the query rows
-    std::vector<float> quant_at;         // batchQuantDotAt over survivors
-    std::vector<float> quant_range;      // batchQuantDotRange [begin,end)
-    std::vector<int32_t> int8_at;        // batchInt8DotAt over survivors
-    std::vector<int32_t> int8_range;     // batchInt8DotRange [begin,end)
-    std::vector<ScoredIndex> quant_select;
-    size_t quant_select_n = 0;
-    size_t quant_select_survivors = 0;
-    std::vector<ScoredIndex> int8_select;
-    size_t int8_select_n = 0;
-    std::vector<ScoredIndex> quant_mspan; // span-list quant select
-    std::vector<size_t> quant_mspan_n;
-    std::vector<size_t> quant_mspan_surv;
-    std::vector<ScoredIndex> int8_mspan;  // span-list INT8 select
-    std::vector<size_t> int8_mspan_n;
-    std::vector<size_t> int8_mspan_cand;
+    std::vector<float> quant_range;     // query 0 over [begin, end)
+    std::vector<int32_t> int8_range;    // query 0 over [begin, end)
+    Selection select, quant_select, int8_select;
 };
 
 bool
@@ -183,239 +229,224 @@ scoredEq(const ScoredIndex &a, const ScoredIndex &b)
            std::memcmp(&a.score, &b.score, sizeof(float)) == 0;
 }
 
+bool
+sameSelection(const Selection &a, const Selection &b, size_t out_stride)
+{
+    if (a.sizes != b.sizes || a.survivors != b.survivors)
+        return false;
+    for (size_t q = 0; q < a.sizes.size(); ++q)
+        if (!std::equal(a.entries.begin() + q * out_stride,
+                        a.entries.begin() + q * out_stride + a.sizes[q],
+                        b.entries.begin() + q * out_stride, scoredEq))
+            return false;
+    return true;
+}
+
+enum class SelectOp { Scf, Quant, Int8 };
+
+/** Run one fused select driver for queries [q0, q0 + nq) over the
+ *  spans of `st`, into those queries' rows of `sel`. Span counters are
+ *  only requested for the whole group. */
+void
+runSelect(SelectOp op, const Case &c, const Storage &st, size_t q0,
+          size_t nq, Selection &sel)
+{
+    const size_t wpr = st.signs.wordsPerRow();
+    const size_t os = c.outStride();
+    ScoredIndex *out = sel.entries.data() + q0 * os;
+    size_t *sizes = sel.sizes.data() + q0;
+    size_t *counts = nq == c.num_queries ? sel.span_counts.data() : nullptr;
+    switch (op) {
+    case SelectOp::Scf:
+        longsight::batchScoreSelectMultiSpans(
+            c.qwords.data() + q0 * wpr, nq, st.signs, st.spans.data(),
+            st.spans.size(), c.threshold, c.queries.data() + q0 * c.dim,
+            c.dim, st.keys, c.scale, c.k, out, os, sizes,
+            sel.survivors.data() + q0, counts);
+        break;
+    case SelectOp::Quant:
+        longsight::batchQuantScoreSelectMultiSpans(
+            c.qwords.data() + q0 * wpr, nq, st.signs, st.spans.data(),
+            st.spans.size(), c.threshold, c.queries.data() + q0 * c.dim,
+            c.dim, st.kq.data(), st.kscales.data(), c.dim, c.scale, c.k,
+            out, os, sizes, sel.survivors.data() + q0, counts);
+        break;
+    case SelectOp::Int8:
+        longsight::batchInt8ScoreSelectMultiSpans(
+            c.q8s.data() + q0 * c.dim, c.q8_scales.data() + q0, nq,
+            st.kq.data(), st.kscales.data(), c.dim, st.spans.data(),
+            st.spans.size(), c.scale, c.k, out, os, sizes, counts);
+        break;
+    }
+}
+
+/**
+ * One select driver three ways on the active backend: the whole group
+ * over the flat identity span (returned), each query alone with
+ * num_queries = 1, and the whole group over the paged layout. All
+ * three must agree, and the span counters must add up.
+ */
+Selection
+selectThreeWays(SelectOp op, const char *stage, const Case &c,
+                const Storage &flat, const Storage &paged)
+{
+    g_case.stage = stage;
+    const size_t nq = c.num_queries, os = c.outStride();
+    const auto fresh = [&](const Storage &st) {
+        Selection s;
+        s.entries.assign(nq * os, ScoredIndex{0.0f, 0});
+        s.sizes.assign(nq, 0);
+        s.survivors.assign(nq, 0);
+        s.span_counts.assign(std::max<size_t>(st.spans.size(), 1), 0);
+        return s;
+    };
+    Selection grouped = fresh(flat);
+    runSelect(op, c, flat, 0, nq, grouped);
+    Selection single = fresh(flat);
+    for (size_t q = 0; q < nq; ++q)
+        runSelect(op, c, flat, q, 1, single);
+    check(sameSelection(grouped, single, os),
+          "grouped select != per-query num_queries=1 select");
+    Selection paged_sel = fresh(paged);
+    runSelect(op, c, paged, 0, nq, paged_sel);
+    check(sameSelection(grouped, paged_sel, os),
+          "permuted-span select != identity-span select");
+
+    size_t total = 0;
+    for (size_t q = 0; q < nq; ++q)
+        total += op == SelectOp::Int8 ? c.span() : grouped.survivors[q];
+    check(grouped.span_counts[0] == total,
+          "identity span counter != group total");
+    size_t paged_total = 0;
+    for (size_t s = 0; s < paged.spans.size(); ++s) {
+        paged_total += paged_sel.span_counts[s];
+        if (op == SelectOp::Int8)
+            check(paged_sel.span_counts[s] == nq * paged.spans[s].count,
+                  "INT8 span candidates != queries x span length");
+    }
+    check(paged_total == total, "paged span counters != group total");
+    return grouped;
+}
+
 /** Run the full public kernel surface on the active backend. */
 Outputs
-runKernels(const SignBits &query, const std::vector<uint64_t> &qwords,
-           const std::vector<uint64_t> &all_qwords,
-           const std::vector<float> &all_queries, const SignMatrix &signs,
-           const Matrix &keys, const std::vector<int8_t> &kq,
-           const std::vector<float> &kscales,
-           const std::vector<int8_t> &q8s,
-           const std::vector<float> &q8_scales,
-           const std::vector<longsight::ScanSpan> &spans, size_t begin,
-           size_t end, int threshold, float scale, size_t k,
-           size_t num_queries)
+runKernels(const Case &c, const Storage &flat, const Storage &paged)
 {
-    const size_t span = end - begin;
-    const size_t dim = signs.dim();
+    const size_t span = c.span(), stride = c.stride();
+    const size_t nq = c.num_queries, dim = c.dim;
+    const size_t wpr = flat.signs.wordsPerRow();
     Outputs o;
 
     g_case.stage = "batchConcordance";
     o.concordance.assign(span, 0);
-    if (span)
-        longsight::batchConcordance(query, signs, begin, end,
-                                    o.concordance.data());
+    longsight::batchConcordance(c.qwords.data(), flat.signs, c.begin,
+                                c.end, o.concordance.data());
 
-    g_case.stage = "batchConcordanceScan";
-    size_t n1 = longsight::batchConcordanceScan(query, signs, begin, end,
-                                                threshold, o.scan_vec);
-    check(n1 == o.scan_vec.size(), "scan count != appended size");
-    o.scan_ptr.assign(span ? span : 1, 0xffffffffu);
-    size_t n2 = longsight::batchConcordanceScan(
-        qwords.data(), signs, begin, end, threshold, o.scan_ptr.data());
-    o.scan_ptr.resize(n2);
-    check(o.scan_vec == o.scan_ptr,
-          "vector and caller-storage scans disagree");
+    // Scan: grouped, against the independent reference, and against
+    // one num_queries = 1 pass per query.
+    g_case.stage = "batchScanMulti";
+    o.scan.assign(nq * stride, 0xffffffffu);
+    o.scan_counts.assign(nq, 777);
+    longsight::batchScanMulti(c.qwords.data(), nq, flat.signs, c.begin,
+                              c.end, c.threshold, o.scan.data(), stride,
+                              o.scan_counts.data());
+    std::vector<uint32_t> one(stride);
+    for (size_t q = 0; q < nq; ++q) {
+        size_t n = 0;
+        for (size_t i = 0; i < span; ++i) {
+            if (!c.pass[q * span + i])
+                continue;
+            check(n < o.scan_counts[q] &&
+                      o.scan[q * stride + n] == c.begin + i,
+                  "scan survivors != thresholded scalar concordance");
+            ++n;
+        }
+        check(n == o.scan_counts[q],
+              "scan count != thresholded scalar concordance");
+        size_t n1 = 0;
+        longsight::batchScanMulti(c.qwords.data() + q * wpr, 1, flat.signs,
+                                  c.begin, c.end, c.threshold, one.data(),
+                                  stride, &n1);
+        check(n1 == n && std::equal(one.begin(), one.begin() + n,
+                                    o.scan.begin() + q * stride),
+              "grouped scan != per-query num_queries=1 scan");
+    }
 
-    g_case.stage = "concordanceBitmap";
-    if (span) {
-        size_t nkeys = std::min<size_t>(span, 128);
-        longsight::concordanceBitmap(query, signs, begin,
-                                     static_cast<uint32_t>(nkeys),
-                                     threshold, o.bitmap);
-        longsight::concordanceBitmap(qwords.data(), signs, begin,
-                                     static_cast<uint32_t>(nkeys),
-                                     threshold, o.bitmap_words);
-        check(o.bitmap[0] == o.bitmap_words[0] &&
-                  o.bitmap[1] == o.bitmap_words[1],
-              "SignBits and packed-words bitmaps disagree");
+    g_case.stage = "concordanceBitmapMulti";
+    const auto nkeys = static_cast<uint32_t>(std::min<size_t>(span, 128));
+    o.bitmap.assign(nq * 2, ~uint64_t{0});
+    longsight::concordanceBitmapMulti(c.qwords.data(), nq, flat.signs,
+                                      c.begin, nkeys, c.threshold,
+                                      o.bitmap.data());
+    for (size_t q = 0; q < nq; ++q) {
+        uint64_t ref[2] = {0, 0};
+        for (size_t j = 0; j < nkeys; ++j)
+            if (c.pass[q * span + j])
+                ref[j >> 6] |= uint64_t{1} << (j & 63);
+        check(o.bitmap[q * 2] == ref[0] && o.bitmap[q * 2 + 1] == ref[1],
+              "bitmap != thresholded scalar concordance");
+        uint64_t bits[2] = {~uint64_t{0}, ~uint64_t{0}};
+        longsight::concordanceBitmapMulti(c.qwords.data() + q * wpr, 1,
+                                          flat.signs, c.begin, nkeys,
+                                          c.threshold, bits);
+        check(bits[0] == ref[0] && bits[1] == ref[1],
+              "grouped bitmap != per-query num_queries=1 bitmap");
     }
 
     g_case.stage = "batchDotScaleAt";
-    o.dot_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0.0f);
-    if (!o.scan_ptr.empty())
-        longsight::batchDotScaleAt(all_queries.data(), keys,
-                                   o.scan_ptr.data(), o.scan_ptr.size(),
-                                   scale, o.dot_at.data());
-    o.dot_at.resize(o.scan_ptr.size());
+    o.dot_at.assign(std::max<size_t>(o.scan_counts[0], 1), 0.0f);
+    longsight::batchDotScaleAt(c.queries.data(), flat.keys, o.scan.data(),
+                               o.scan_counts[0], c.scale,
+                               o.dot_at.data());
+    o.dot_at.resize(o.scan_counts[0]);
 
     g_case.stage = "batchDotScaleRange";
-    o.dot_range.assign(span ? span : 1, 0.0f);
-    if (span)
-        longsight::batchDotScaleRange(all_queries.data(), keys, begin,
-                                      end, scale, o.dot_range.data());
+    o.dot_range.assign(stride, 0.0f);
+    longsight::batchDotScaleRange(c.queries.data(), flat.keys, c.begin,
+                                  c.end, c.scale, o.dot_range.data());
     o.dot_range.resize(span);
 
-    g_case.stage = "batchScoreSelect";
-    size_t cap = std::min(k, span);
-    o.select.assign(cap ? cap : 1, ScoredIndex{0.0f, 0});
-    o.select_n = longsight::batchScoreSelect(
-        qwords.data(), signs, begin, end, threshold, all_queries.data(),
-        keys, scale, k, o.select.data(), &o.select_survivors);
-    o.select.resize(o.select_n);
-
-    g_case.stage = "batchScanMulti";
-    const size_t stride = span ? span : 1;
-    o.multi_scan.assign(num_queries * stride, 0xffffffffu);
-    o.multi_counts.assign(num_queries, 0);
-    longsight::batchScanMulti(all_qwords.data(), num_queries, signs,
-                              begin, end, threshold, o.multi_scan.data(),
-                              stride, o.multi_counts.data());
-
-    g_case.stage = "concordanceBitmapMulti";
-    o.multi_bitmap.assign(num_queries * 2, 0);
-    if (span) {
-        size_t nkeys = std::min<size_t>(span, 128);
-        longsight::concordanceBitmapMulti(
-            all_qwords.data(), num_queries, signs, begin,
-            static_cast<uint32_t>(nkeys), threshold,
-            o.multi_bitmap.data());
-    }
-
-    g_case.stage = "batchScoreSelectMulti";
-    const size_t out_stride = cap ? cap : 1;
-    o.multi_select.assign(num_queries * out_stride,
-                          ScoredIndex{0.0f, 0});
-    o.multi_select_n.assign(num_queries, 0);
-    o.multi_survivors.assign(num_queries, 0);
-    longsight::batchScoreSelectMulti(
-        all_qwords.data(), num_queries, signs, begin, end, threshold,
-        all_queries.data(), dim, keys, scale, k, o.multi_select.data(),
-        out_stride, o.multi_select_n.data(), o.multi_survivors.data());
-
     g_case.stage = "blockSignReduce";
-    const size_t wpr = signs.wordsPerRow();
     o.sign_reduce.assign(wpr, 0);
     if (span) {
-        longsight::blockSignReduce(signs, begin, end,
+        longsight::blockSignReduce(flat.signs, c.begin, c.end,
                                    o.sign_reduce.data());
         std::vector<uint64_t> raw(wpr, 0);
-        longsight::blockSignReduce(signs.data() + begin * wpr, wpr, span,
-                                   raw.data());
+        longsight::blockSignReduce(flat.signs.data() + c.begin * wpr, wpr,
+                                   span, raw.data());
         check(raw == o.sign_reduce,
               "SignMatrix and raw blockSignReduce disagree");
     }
     // Raw flavour over the packed query rows (num_queries >= 1), so
     // odd/even row counts and the tie rule are always exercised.
     o.sign_reduce_q.assign(wpr, 0);
-    longsight::blockSignReduce(all_qwords.data(), wpr, num_queries,
+    longsight::blockSignReduce(c.qwords.data(), wpr, nq,
                                o.sign_reduce_q.data());
 
-    g_case.stage = "batchQuantDotAt";
-    o.quant_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0.0f);
-    if (!o.scan_ptr.empty())
-        longsight::batchQuantDotAt(all_queries.data(), kq.data(),
-                                   kscales.data(), dim, o.scan_ptr.data(),
-                                   o.scan_ptr.size(), scale,
-                                   o.quant_at.data());
-    o.quant_at.resize(o.scan_ptr.size());
-
     g_case.stage = "batchQuantDotRange";
-    o.quant_range.assign(span ? span : 1, 0.0f);
-    if (span)
-        longsight::batchQuantDotRange(all_queries.data(), kq.data(),
-                                      kscales.data(), dim, begin, end,
-                                      scale, o.quant_range.data());
+    o.quant_range.assign(stride, 0.0f);
+    longsight::batchQuantDotRange(c.queries.data(), flat.kq.data(),
+                                  flat.kscales.data(), dim, c.begin, c.end,
+                                  c.scale, o.quant_range.data());
     o.quant_range.resize(span);
 
     g_case.stage = "batchInt8DotRange";
-    o.int8_range.assign(span ? span : 1, 0);
-    if (span)
-        longsight::batchInt8DotRange(q8s.data(), kq.data(), dim, begin,
-                                     end, o.int8_range.data());
+    o.int8_range.assign(stride, 0);
+    longsight::batchInt8DotRange(c.q8s.data(), flat.kq.data(), dim,
+                                 c.begin, c.end, o.int8_range.data());
     o.int8_range.resize(span);
 
-    g_case.stage = "batchInt8DotAt";
-    o.int8_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0);
-    if (!o.scan_ptr.empty())
-        longsight::batchInt8DotAt(q8s.data(), kq.data(), dim,
-                                  o.scan_ptr.data(), o.scan_ptr.size(),
-                                  o.int8_at.data());
-    o.int8_at.resize(o.scan_ptr.size());
-    // The integer dot is exact, so the indexed and range flavours must
-    // agree bit-for-bit on THIS backend, not just across backends.
-    for (size_t j = 0; j < o.int8_at.size(); ++j)
-        check(o.int8_at[j] == o.int8_range[o.scan_ptr[j] - begin],
-              "int8 dot at/range flavours disagree");
-
-    g_case.stage = "batchQuantScoreSelect";
-    size_t qcap = cap ? cap : 1;
-    o.quant_select.assign(qcap, ScoredIndex{0.0f, 0});
-    o.quant_select_n = longsight::batchQuantScoreSelect(
-        qwords.data(), signs, begin, end, threshold, all_queries.data(),
-        kq.data(), kscales.data(), dim, scale, k, o.quant_select.data(),
-        &o.quant_select_survivors);
-    o.quant_select.resize(o.quant_select_n);
-    check(o.quant_select_survivors == o.select_survivors,
-          "quant select survivors != scan survivors");
-
-    g_case.stage = "batchInt8ScoreSelect";
-    o.int8_select.assign(qcap, ScoredIndex{0.0f, 0});
-    o.int8_select_n = longsight::batchInt8ScoreSelect(
-        q8s.data(), q8_scales[0], kq.data(), kscales.data(), dim, begin,
-        end, scale, k, o.int8_select.data());
-    o.int8_select.resize(o.int8_select_n);
-
-    // Span-list flavours over an identity-mapped split of [begin, end):
-    // per query they must reproduce the flat drivers exactly.
-    g_case.stage = "batchQuantScoreSelectMultiSpans";
-    o.quant_mspan.assign(num_queries * out_stride, ScoredIndex{0.0f, 0});
-    o.quant_mspan_n.assign(num_queries, 0);
-    o.quant_mspan_surv.assign(num_queries, 0);
-    longsight::batchQuantScoreSelectMultiSpans(
-        all_qwords.data(), num_queries, signs, spans.data(), spans.size(),
-        threshold, all_queries.data(), dim, kq.data(), kscales.data(),
-        dim, scale, k, o.quant_mspan.data(), out_stride,
-        o.quant_mspan_n.data(), o.quant_mspan_surv.data(), nullptr);
-    check(o.quant_mspan_n[0] == o.quant_select_n &&
-              o.quant_mspan_surv[0] == o.quant_select_survivors,
-          "span-list quant select sizes != flat sizes (query 0)");
-    check(std::equal(o.quant_select.begin(), o.quant_select.end(),
-                     o.quant_mspan.begin(), scoredEq),
-          "span-list quant select entries != flat entries (query 0)");
-
-    g_case.stage = "batchInt8ScoreSelectMultiSpans";
-    o.int8_mspan.assign(num_queries * out_stride, ScoredIndex{0.0f, 0});
-    o.int8_mspan_n.assign(num_queries, 0);
-    o.int8_mspan_cand.assign(spans.size() ? spans.size() : 1, 0);
-    longsight::batchInt8ScoreSelectMultiSpans(
-        q8s.data(), q8_scales.data(), num_queries, kq.data(),
-        kscales.data(), dim, spans.data(), spans.size(), scale, k,
-        o.int8_mspan.data(), out_stride, o.int8_mspan_n.data(),
-        o.int8_mspan_cand.data());
-    o.int8_mspan_cand.resize(spans.size());
-    check(o.int8_mspan_n[0] == o.int8_select_n,
-          "span-list INT8 select size != flat size (query 0)");
-    check(std::equal(o.int8_select.begin(), o.int8_select.end(),
-                     o.int8_mspan.begin(), scoredEq),
-          "span-list INT8 select entries != flat entries (query 0)");
-    for (size_t si = 0; si < spans.size(); ++si)
-        check(o.int8_mspan_cand[si] == num_queries * spans[si].count,
-              "INT8 span candidate count != queries * span length");
-
-    // Internal consistency on THIS backend: multi query 0 is the same
-    // query the single-query calls used, so its outputs must match.
-    g_case.stage = "multi-vs-single";
-    check(o.multi_counts[0] == o.scan_ptr.size(),
-          "multi scan count != single scan count (query 0)");
-    check(std::equal(o.scan_ptr.begin(), o.scan_ptr.end(),
-                     o.multi_scan.begin()),
-          "multi scan survivors != single scan survivors (query 0)");
-    if (span)
-        check(o.multi_bitmap[0] == o.bitmap[0] &&
-                  o.multi_bitmap[1] == o.bitmap[1],
-              "multi bitmap != single bitmap (query 0)");
-    check(o.multi_select_n[0] == o.select_n &&
-              o.multi_survivors[0] == o.select_survivors,
-          "multi select sizes != single select sizes (query 0)");
-    check(std::equal(
-              o.select.begin(), o.select.end(), o.multi_select.begin(),
-              [](const ScoredIndex &a, const ScoredIndex &b) {
-                  return a.index == b.index &&
-                         std::memcmp(&a.score, &b.score,
-                                     sizeof(float)) == 0;
-              }),
-          "multi select entries != single select entries (query 0)");
+    o.select = selectThreeWays(SelectOp::Scf, "batchScoreSelectMultiSpans",
+                               c, flat, paged);
+    o.quant_select =
+        selectThreeWays(SelectOp::Quant, "batchQuantScoreSelectMultiSpans",
+                        c, flat, paged);
+    o.int8_select =
+        selectThreeWays(SelectOp::Int8, "batchInt8ScoreSelectMultiSpans",
+                        c, flat, paged);
+    check(o.select.survivors == o.scan_counts &&
+              o.quant_select.survivors == o.scan_counts,
+          "select survivor counts != scan counts");
     return o;
 }
 
@@ -434,84 +465,41 @@ checkEq(const std::vector<T> &ref, const std::vector<T> &got,
 }
 
 void
-compareOutputs(const Outputs &ref, const Outputs &got)
+compareOutputs(const Outputs &ref, const Outputs &got, size_t out_stride)
 {
     g_case.stage = "cross-backend-compare";
     checkEq(ref.concordance, got.concordance, "concordance differs");
-    checkEq(ref.scan_ptr, got.scan_ptr, "survivor set differs");
-    check(ref.bitmap[0] == got.bitmap[0] && ref.bitmap[1] == got.bitmap[1],
-          "bitmap differs");
+    checkEq(ref.scan_counts, got.scan_counts, "survivor counts differ");
+    // Survivor lists are contracted per query up to counts[q]; beyond
+    // that is scratch (the SIMD backends' branchless store-then-advance
+    // emission writes one slot past the live list).
+    const size_t nq = ref.scan_counts.size();
+    const size_t stride = nq ? ref.scan.size() / nq : 0;
+    for (size_t q = 0; q < nq; ++q)
+        check(std::equal(ref.scan.begin() + q * stride,
+                         ref.scan.begin() + q * stride + ref.scan_counts[q],
+                         got.scan.begin() + q * stride),
+              "survivor set differs");
+    checkEq(ref.bitmap, got.bitmap, "bitmaps differ");
     checkEq(ref.dot_at, got.dot_at, "dotAt scores differ");
     checkEq(ref.dot_range, got.dot_range, "dotRange scores differ");
-    check(ref.select_n == got.select_n &&
-              ref.select_survivors == got.select_survivors,
-          "score-select sizes differ");
-    checkEq(ref.select, got.select, "score-select entries differ");
-    checkEq(ref.multi_counts, got.multi_counts, "multi counts differ");
-    checkEq(ref.multi_bitmap, got.multi_bitmap, "multi bitmaps differ");
-    checkEq(ref.multi_select_n, got.multi_select_n,
-            "multi score-select sizes differ");
-    checkEq(ref.multi_survivors, got.multi_survivors,
-            "multi survivor counts differ");
     checkEq(ref.sign_reduce, got.sign_reduce,
             "block sign-reduce signature differs");
     checkEq(ref.sign_reduce_q, got.sign_reduce_q,
             "query-rows sign-reduce signature differs");
-    checkEq(ref.quant_at, got.quant_at, "quant dotAt scores differ");
     checkEq(ref.quant_range, got.quant_range,
             "quant dotRange scores differ");
-    checkEq(ref.int8_at, got.int8_at, "int8 dotAt values differ");
     checkEq(ref.int8_range, got.int8_range, "int8 dotRange values differ");
-    check(ref.quant_select_n == got.quant_select_n &&
-              ref.quant_select_survivors == got.quant_select_survivors,
-          "quant score-select sizes differ");
-    checkEq(ref.quant_select, got.quant_select,
-            "quant score-select entries differ");
-    check(ref.int8_select_n == got.int8_select_n,
-          "int8 score-select sizes differ");
-    checkEq(ref.int8_select, got.int8_select,
-            "int8 score-select entries differ");
-    checkEq(ref.quant_mspan_n, got.quant_mspan_n,
-            "span-list quant select sizes differ");
-    checkEq(ref.quant_mspan_surv, got.quant_mspan_surv,
-            "span-list quant survivor counts differ");
-    checkEq(ref.int8_mspan_n, got.int8_mspan_n,
-            "span-list int8 select sizes differ");
-    checkEq(ref.int8_mspan_cand, got.int8_mspan_cand,
-            "span-list int8 candidate counts differ");
-    // Multi outputs are contracted per query up to counts[q] /
-    // out_sizes[q]; beyond that is scratch (the SIMD backends'
-    // branchless store-then-advance emission writes one slot past the
-    // live list), so only the valid prefixes are compared.
-    const size_t nq = ref.multi_counts.size();
-    const size_t stride = nq ? ref.multi_scan.size() / nq : 0;
-    const size_t out_stride = nq ? ref.multi_select.size() / nq : 0;
-    for (size_t q = 0; q < nq; ++q) {
-        check(std::equal(ref.multi_scan.begin() + q * stride,
-                         ref.multi_scan.begin() + q * stride +
-                             ref.multi_counts[q],
-                         got.multi_scan.begin() + q * stride),
-              "multi survivors differ");
-        check(std::equal(
-                  ref.multi_select.begin() + q * out_stride,
-                  ref.multi_select.begin() + q * out_stride +
-                      ref.multi_select_n[q],
-                  got.multi_select.begin() + q * out_stride,
-                  scoredEq),
-              "multi score-select entries differ");
-        check(std::equal(ref.quant_mspan.begin() + q * out_stride,
-                         ref.quant_mspan.begin() + q * out_stride +
-                             ref.quant_mspan_n[q],
-                         got.quant_mspan.begin() + q * out_stride,
-                         scoredEq),
-              "span-list quant select entries differ");
-        check(std::equal(ref.int8_mspan.begin() + q * out_stride,
-                         ref.int8_mspan.begin() + q * out_stride +
-                             ref.int8_mspan_n[q],
-                         got.int8_mspan.begin() + q * out_stride,
-                         scoredEq),
-              "span-list int8 select entries differ");
-    }
+    check(sameSelection(ref.select, got.select, out_stride) &&
+              ref.select.span_counts == got.select.span_counts,
+          "score-select results differ");
+    check(sameSelection(ref.quant_select, got.quant_select, out_stride) &&
+              ref.quant_select.span_counts ==
+                  got.quant_select.span_counts,
+          "quant score-select results differ");
+    check(sameSelection(ref.int8_select, got.int8_select, out_stride) &&
+              ref.int8_select.span_counts == got.int8_select.span_counts,
+          "int8 score-select results differ");
 }
 
 void
@@ -542,68 +530,87 @@ runCase(const uint8_t *data, size_t size)
     std::vector<float> key_data(rows * dim);
     for (auto &v : key_data)
         v = in.smallFloat();
-    Matrix keys(rows, dim, key_data);
-    SignMatrix signs(dim);
-    for (size_t r = 0; r < rows; ++r)
-        signs.appendRow(keys.row(r));
+    const Storage flat = [&] {
+        Storage st = makeStorage(dim, key_data);
+        st.spans = {ScanSpan{begin, end - begin, begin}};
+        return st;
+    }();
 
-    std::vector<float> all_queries(num_queries * dim);
-    for (auto &v : all_queries)
+    Case c;
+    c.dim = dim;
+    c.begin = begin;
+    c.end = end;
+    c.threshold = threshold;
+    c.k = k;
+    c.num_queries = num_queries;
+    c.scale = scale;
+    c.queries.resize(num_queries * dim);
+    for (auto &v : c.queries)
         v = in.smallFloat();
-    const size_t wpr = signs.wordsPerRow();
-    std::vector<uint64_t> all_qwords(num_queries * wpr);
-    for (size_t q = 0; q < num_queries; ++q)
-        longsight::packSigns(all_queries.data() + q * dim, dim,
-                             all_qwords.data() + q * wpr);
-    SignBits query(all_queries.data(), dim);
-    std::vector<uint64_t> qwords(all_qwords.begin(),
-                                 all_qwords.begin() + wpr);
-
-    // INT8 arenas for the quantized-scoring stages: per-row symmetric
-    // key quantization (the KvCache::enableKeyQuantization scheme) and
-    // per-query quantization for the estimation kernels.
-    std::vector<int8_t> kq(rows * dim);
-    std::vector<float> kscales(rows ? rows : 1, 1.0f);
-    for (size_t r = 0; r < rows; ++r)
-        longsight::quantizeInt8Into(keys.row(r), dim, kq.data() + r * dim,
-                                    &kscales[r]);
-    std::vector<int8_t> q8s(num_queries * dim);
-    std::vector<float> q8_scales(num_queries, 1.0f);
-    for (size_t q = 0; q < num_queries; ++q)
-        longsight::quantizeInt8Into(all_queries.data() + q * dim, dim,
-                                    q8s.data() + q * dim, &q8_scales[q]);
-
-    // Identity-mapped span split of [begin, end) — up to three uneven
-    // pieces, so the span-list drivers' stitching is exercised while
-    // staying comparable to the flat drivers.
-    std::vector<longsight::ScanSpan> spans;
-    {
-        size_t at = begin;
-        while (at < end) {
-            const size_t left = end - at;
-            size_t take = spans.size() >= 2
-                ? left
-                : std::min(left, in.range(1, left));
-            spans.push_back(longsight::ScanSpan{at, take, at});
-            at += take;
-        }
+    const size_t wpr = flat.signs.wordsPerRow();
+    c.qwords.resize(num_queries * wpr);
+    c.q8s.resize(num_queries * dim);
+    c.q8_scales.assign(num_queries, 1.0f);
+    for (size_t q = 0; q < num_queries; ++q) {
+        longsight::packSigns(c.queries.data() + q * dim, dim,
+                             c.qwords.data() + q * wpr);
+        longsight::quantizeInt8Into(c.queries.data() + q * dim, dim,
+                                    c.q8s.data() + q * dim,
+                                    &c.q8_scales[q]);
     }
 
+    // Paged twin of [begin, end): split at random into up to four
+    // pieces, stored in a random physical order with a junk row before
+    // each piece, so a wrong physical offset or logical remap in a span
+    // driver changes its result.
+    std::vector<ScanSpan> pieces;
+    for (size_t at = begin; at < end;) {
+        const size_t left = end - at;
+        const size_t take = pieces.size() >= 3 ? left : in.range(1, left);
+        pieces.push_back(ScanSpan{0, take, at});
+        at += take;
+    }
+    std::vector<size_t> order(pieces.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    for (size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[in.range(0, i - 1)]);
+    std::vector<float> paged_data;
+    for (size_t p : order) {
+        for (size_t d = 0; d < dim; ++d)
+            paged_data.push_back(in.smallFloat());
+        pieces[p].physBegin = paged_data.size() / dim;
+        const float *first = key_data.data() + pieces[p].logicalBase * dim;
+        paged_data.insert(paged_data.end(), first,
+                          first + pieces[p].count * dim);
+    }
+    Storage paged = makeStorage(dim, paged_data);
+    paged.spans = std::move(pieces);
+
+    // Independent scan reference: the scalar batchConcordance of every
+    // query, thresholded.
     const KernelBackend prev = longsight::activeKernelBackend();
+    longsight::setKernelBackend(KernelBackend::Scalar);
+    const size_t span = end - begin;
+    c.pass.assign(num_queries * span, 0);
+    std::vector<int32_t> conc(span);
+    for (size_t q = 0; q < num_queries; ++q) {
+        longsight::batchConcordance(c.qwords.data() + q * wpr, flat.signs,
+                                    begin, end, conc.data());
+        for (size_t i = 0; i < span; ++i)
+            c.pass[q * span + i] = conc[i] >= threshold;
+    }
+
     Outputs ref;
     bool have_ref = false;
     for (KernelBackend b : availableBackends()) {
         g_case.backend = longsight::kernelBackendName(b);
         longsight::setKernelBackend(b);
-        Outputs got = runKernels(query, qwords, all_qwords, all_queries,
-                                 signs, keys, kq, kscales, q8s,
-                                 q8_scales, spans, begin, end, threshold,
-                                 scale, k, num_queries);
+        Outputs got = runKernels(c, flat, paged);
         if (!have_ref) {
             ref = std::move(got);
             have_ref = true;
         } else {
-            compareOutputs(ref, got);
+            compareOutputs(ref, got, c.outStride());
         }
     }
     longsight::setKernelBackend(prev);
@@ -700,7 +707,8 @@ main(int argc, char **argv)
     std::printf("\n");
     if (backends < 2)
         std::printf("note: only one backend available; checking "
-                    "internal (multi-vs-single, flavour) parity only\n");
+                    "internal (reference, grouped-vs-single, "
+                    "paged-vs-flat) parity only\n");
 
     const auto t0 = std::chrono::steady_clock::now();
     auto elapsed = [&] {

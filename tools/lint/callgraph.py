@@ -16,7 +16,9 @@ This module owns everything the two passes share:
 
   * compile_tu()        one cached compile producing BOTH artifacts,
                         so running the second lint after the first is a
-                        pure cache hit;
+                        pure cache hit; artifacts are published with an
+                        atomic rename, so lints sharing the cache at
+                        the same time never read a half-written one;
   * the lint cache      content-addressed on a hash of the preprocessed
                         TU + the compile command, with a manifest
                         (manifest.json) mapping each TU to its live
@@ -41,12 +43,14 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 
 # Bump when the compile flags or artifact set change: old cache entries
 # stop matching and the next prune_cache() sweeps them out.
-CACHE_VERSION = "v2-ci+gimple"
+CACHE_VERSION = "v3-ci+gimple-atomic"
 
 MANIFEST_NAME = "manifest.json"
 
@@ -329,6 +333,13 @@ def compile_tu(args, directory, cache_dir, verbose, stats=None):
     preprocessed TU (so edits to any transitively included header
     invalidate it) plus the command, so whichever lint runs second
     reuses the first one's work.
+
+    The compiler writes into a private directory and the artifacts are
+    renamed into the cache only when complete. ctest runs the contract
+    and race lints concurrently over one cache; two compilers writing
+    the same dump path interleave into a corrupt GIMPLE stream whose
+    spliced function bodies read as stores to global state, and a
+    reader arriving mid-compile would see a truncated one.
     """
     # The analyses need every call edge and statement to survive: -O0
     # disables inlining, -fno-inline guards against flags in the
@@ -352,27 +363,33 @@ def compile_tu(args, directory, cache_dir, verbose, stats=None):
         if stats is not None:
             stats.hits += 1
         return {"key": key, "ci": ci, "gimple": gimple}
-    asm = os.path.join(cache_dir, key + ".s")
-    cc = subprocess.run(lint_args +
-                        ["-fcallgraph-info=su,da",
-                         "-fdump-tree-gimple-lineno=" + gimple,
-                         "-S", "-o", asm],
-                        cwd=directory, stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE)
-    if cc.returncode != 0:
-        raise RuntimeError("lint compile failed: %s\n%s" %
-                           (" ".join(lint_args),
-                            cc.stderr.decode(errors="replace")))
-    produced = os.path.splitext(asm)[0] + ".ci"
-    if not os.path.exists(produced):
-        raise RuntimeError("no .ci produced for " + " ".join(lint_args))
-    if not os.path.exists(gimple):
-        raise RuntimeError("no GIMPLE dump produced for " +
-                           " ".join(lint_args))
+    tmp = tempfile.mkdtemp(prefix="tmp-" + key + "-", dir=cache_dir)
     try:
-        os.remove(asm)
-    except OSError:
-        pass
+        asm = os.path.join(tmp, key + ".s")
+        tmp_gimple = os.path.join(tmp, key + ".gimple")
+        cc = subprocess.run(lint_args +
+                            ["-fcallgraph-info=su,da",
+                             "-fdump-tree-gimple-lineno=" + tmp_gimple,
+                             "-S", "-o", asm],
+                            cwd=directory, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+        if cc.returncode != 0:
+            raise RuntimeError("lint compile failed: %s\n%s" %
+                               (" ".join(lint_args),
+                                cc.stderr.decode(errors="replace")))
+        produced = os.path.splitext(asm)[0] + ".ci"
+        if not os.path.exists(produced):
+            raise RuntimeError("no .ci produced for " +
+                               " ".join(lint_args))
+        if not os.path.exists(tmp_gimple):
+            raise RuntimeError("no GIMPLE dump produced for " +
+                               " ".join(lint_args))
+        # The .ci goes last: readers need both names, so a cache hit
+        # always finds a complete GIMPLE dump next to it.
+        os.replace(tmp_gimple, gimple)
+        os.replace(produced, ci)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     if stats is not None:
         stats.misses += 1
     if verbose:

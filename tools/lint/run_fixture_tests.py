@@ -12,6 +12,10 @@ Every fail fixture must produce EXACTLY the diagnostics its
 category anchored at that line, no extras, no misses — so both false
 negatives AND false positives (and wrong locations) fail the suite.
 
+The race suite also checks the shared lint cache: a compile that is
+still running must never be handed to a second lint compiling the same
+TU (see check_cache_publish).
+
 Usage: run_fixture_tests.py [--suite contract|race] [--project-root DIR]
 """
 
@@ -22,8 +26,12 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 HERE = os.path.dirname(os.path.realpath(__file__))
+sys.path.insert(0, HERE)
+import callgraph  # noqa: E402
 
 SUITES = {
     "contract": {
@@ -64,6 +72,76 @@ def expected_of(fixture, expect_re):
     return expected
 
 
+# Stand-in compiler for check_cache_publish. The first compile writes
+# its .ci and HALF of its GIMPLE dump, then blocks until released; any
+# later compile finishes at once. Both write the same complete dump.
+FAKE_COMPILER = r"""
+import os, sys, time
+args = sys.argv[1:]
+if "-E" in args:
+    sys.stdout.write("int tu();\n")
+    sys.exit(0)
+gate = os.environ["LS_FAKE_CC_GATE"]
+gimple = [a.split("=", 1)[1] for a in args
+          if a.startswith("-fdump-tree-gimple-lineno=")][0]
+asm = args[args.index("-o") + 1]
+with open(os.path.splitext(asm)[0] + ".ci", "w") as f:
+    f.write("graph: { }\n")
+with open(gimple, "w") as f:
+    f.write("HEAD\n")
+    f.flush()
+    try:
+        os.close(os.open(gate + ".first", os.O_CREAT | os.O_EXCL))
+        open(gate + ".half", "w").close()
+        deadline = time.time() + 60
+        while not os.path.exists(gate + ".release"):
+            if time.time() > deadline:
+                sys.exit(3)
+            time.sleep(0.01)
+    except FileExistsError:
+        pass
+    f.write("TAIL\n")
+open(asm, "w").close()
+"""
+
+
+def check_cache_publish():
+    """Two lints compiling one TU into one cache at the same time (ctest
+    runs the contract and race lints concurrently) must each get the
+    complete artifacts, never the other's half-written dump."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fake = os.path.join(tmp, "fake_cc.py")
+        with open(fake, "w") as f:
+            f.write(FAKE_COMPILER)
+        gate = os.path.join(tmp, "gate")
+        os.environ["LS_FAKE_CC_GATE"] = gate
+        cache = os.path.join(tmp, "cache")
+        os.makedirs(cache)
+        args = [sys.executable, fake, "tu.cc"]
+        dumps = {}
+
+        def compile_and_read(name):
+            # Read at once, as a lint parses its artifacts right away.
+            art = callgraph.compile_tu(args, tmp, cache, False)
+            with open(art["gimple"]) as f:
+                dumps[name] = f.read()
+
+        t = threading.Thread(target=compile_and_read, args=("first",))
+        t.start()
+        deadline = time.time() + 60
+        while not os.path.exists(gate + ".half") and time.time() < deadline:
+            time.sleep(0.01)
+        try:
+            compile_and_read("second")
+        finally:
+            open(gate + ".release", "w").close()
+            t.join()
+        return ["lint cache: %s concurrent compile read GIMPLE %r"
+                % (name, dumps.get(name))
+                for name in ("first", "second")
+                if dumps.get(name) != "HEAD\nTAIL\n"]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--suite", choices=sorted(SUITES), default="contract")
@@ -77,7 +155,7 @@ def main():
                            % "|".join(re.escape(c)
                                       for c in suite["categories"]))
 
-    failures = []
+    failures = check_cache_publish() if opts.suite == "race" else []
     checked = 0
 
     for kind in ("pass", "fail"):
