@@ -58,11 +58,34 @@ Dcc::responseBufferFor(uint32_t uid)
     auto it = bufferCam_.find(uid);
     if (it != bufferCam_.end())
         return it->second;
-    LS_ASSERT(bufferCam_.size() < cfg_.responseBuffers,
-              "response buffers exhausted (", cfg_.responseBuffers, ")");
-    const auto idx = static_cast<uint32_t>(bufferCam_.size());
+    uint32_t idx;
+    if (!freeBuffers_.empty()) {
+        idx = freeBuffers_.back();
+        freeBuffers_.pop_back();
+    } else {
+        LS_ASSERT(nextBuffer_ < cfg_.responseBuffers,
+                  "response buffers exhausted (", cfg_.responseBuffers,
+                  ")");
+        idx = nextBuffer_++;
+    }
     bufferCam_.emplace(uid, idx);
     return idx;
+}
+
+void
+Dcc::release(uint32_t uid)
+{
+    LS_ASSERT(std::none_of(queue_.begin(), queue_.end(),
+                           [uid](const AttentionRequest &r) {
+                               return r.uid == uid;
+                           }),
+              "release of user ", uid, " with a queued request");
+    auto it = bufferCam_.find(uid);
+    if (it == bufferCam_.end())
+        return;
+    pollReg_.clear(it->second);
+    freeBuffers_.push_back(it->second);
+    bufferCam_.erase(it);
 }
 
 AttentionResponse

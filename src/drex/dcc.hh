@@ -120,9 +120,17 @@ class Dcc
 
     /**
      * CAM lookup: response buffer index for a user (allocated on
-     * first use; asserts when buffers are exhausted).
+     * first use, reusing released buffers first; asserts when all
+     * buffers are held).
      */
     uint32_t responseBufferFor(uint32_t uid);
+
+    /**
+     * Free a finished user's CAM entry and response buffer, clearing
+     * its polling bit. The user must have no queued request; an
+     * unknown uid is a no-op.
+     */
+    void release(uint32_t uid);
 
     /** Number of users currently holding response buffers. */
     size_t activeUsers() const { return bufferCam_.size(); }
@@ -140,6 +148,8 @@ class Dcc
     std::vector<Nma> &nmas_;
     std::deque<AttentionRequest> queue_;
     std::unordered_map<uint32_t, uint32_t> bufferCam_;
+    std::vector<uint32_t> freeBuffers_; //!< released, reused LIFO
+    uint32_t nextBuffer_ = 0;           //!< never-used buffers start here
     PollingRegister pollReg_;
 };
 

@@ -95,6 +95,19 @@ DrexDevice::hasContext(uint32_t user, uint32_t layer,
     return contexts_.count(ContextKey{user, layer, kv_head}) > 0;
 }
 
+void
+DrexDevice::releaseUser(uint32_t user)
+{
+    {
+        std::lock_guard<std::mutex> lock(contextsMu_);
+        contexts_.erase(
+            contexts_.lower_bound(ContextKey{user, 0, 0}),
+            contexts_.upper_bound(
+                ContextKey{user, UINT32_MAX, UINT32_MAX}));
+    }
+    dcc_->release(user);
+}
+
 Tick
 DrexDevice::chargeContextWrite(Tick start, uint32_t user, uint32_t layer,
                                uint32_t kv_head, uint64_t first_token,

@@ -103,6 +103,14 @@ class DrexDevice
     bool hasContext(uint32_t user, uint32_t layer, uint32_t kv_head) const;
 
     /**
+     * Drop everything the device holds for a finished user: its
+     * stored contexts (every layer and head) and its DCC response
+     * buffer, so the uid can be reused from an empty store. An unknown
+     * uid is a no-op. The user must have no queued request.
+     */
+    void releaseUser(uint32_t user);
+
+    /**
      * Charge the DRAM timing of writing `num_tokens` tokens'
      * Key Sign / Key / Value Objects for (user, layer, head),
      * starting at token index `first_token` (§6 bulk updates; happens

@@ -31,7 +31,8 @@ WorkloadConfig::wiki2Like(uint32_t head_dim)
 
 HeadWorkload::HeadWorkload(const WorkloadConfig &cfg, Rng rng)
     : cfg_(cfg), rng_(rng), identityRng_(rng_.fork()),
-      rope_(cfg.headDim, cfg.ropeTheta)
+      rope_(cfg.headDim, cfg.ropeTheta), keys_(0, cfg.headDim),
+      values_(0, cfg.headDim)
 {
     const uint32_t d = cfg_.headDim;
     const uint32_t half = d / 2;
@@ -82,6 +83,9 @@ HeadWorkload::startContext()
     currentTopic_ = static_cast<uint32_t>(rng_.below(cfg_.numClusters));
     currentSegment_ = 0;
     segmentIds_.clear();
+    segmentTopics_.clear();
+    keys_.resize(0, cfg_.headDim);
+    values_.resize(0, cfg_.headDim);
     topics_.clear();
     segments_.clear();
 }
@@ -133,8 +137,9 @@ HeadWorkload::advanceTopic()
 }
 
 void
-HeadWorkload::pushToken(Matrix &keys, Matrix &values, size_t pos)
+HeadWorkload::pushToken()
 {
+    const size_t pos = keys_.rows();
     std::vector<float> k = sampleVector(
         currentTopic_, static_cast<int>(currentSegment_), cfg_.noiseScale);
     if (cfg_.applyRope)
@@ -145,8 +150,18 @@ HeadWorkload::pushToken(Matrix &keys, Matrix &values, size_t pos)
     // works.
     const std::vector<float> v = rng_.gaussianVec(cfg_.headDim);
 
-    keys.setRow(pos, k.data());
-    values.setRow(pos, v.data());
+    // Quarter growth: a server holds many growing contexts at once, and
+    // doubling's idle half raised serving peak RSS.
+    keys_.reserveNextRow();
+    values_.reserveNextRow();
+    keys_.appendRow(k.data());
+    values_.appendRow(v.data());
+    // A segment's first token records the segment's topic, so queries
+    // look it up instead of scanning the context.
+    if (segmentTopics_.size() == currentSegment_) {
+        // LS_LINT_ALLOW(alloc): context history is the workload's product
+        segmentTopics_.push_back(currentTopic_);
+    }
     // LS_LINT_ALLOW(alloc): context history is the workload's product
     topics_.push_back(currentTopic_);
     // LS_LINT_ALLOW(alloc): context history is the workload's product
@@ -157,32 +172,25 @@ void
 HeadWorkload::generate(size_t n)
 {
     startContext();
-    const uint32_t d = cfg_.headDim;
-    Matrix keys(n, d), values(n, d);
+    keys_.reserveRows(n);
+    values_.reserveRows(n);
     topics_.reserve(n);
     segments_.reserve(n);
     for (size_t t = 0; t < n; ++t) {
         if (t > 0)
             advanceTopic();
-        pushToken(keys, values, t);
+        pushToken();
     }
-    keys_ = std::move(keys);
-    values_ = std::move(values);
 }
 
 void
 HeadWorkload::appendToken()
 {
-    const size_t pos = keys_.rows();
-    const uint32_t d = cfg_.headDim;
-    Matrix keys(pos + 1, d), values(pos + 1, d);
-    std::copy(keys_.data(), keys_.data() + pos * d, keys.data());
-    std::copy(values_.data(), values_.data() + pos * d, values.data());
-    if (pos > 0)
+    if (contextLength() == 0)
+        startContext();
+    else
         advanceTopic();
-    pushToken(keys, values, pos);
-    keys_ = std::move(keys);
-    values_ = std::move(values);
+    pushToken();
 }
 
 std::vector<float>
@@ -205,14 +213,10 @@ HeadWorkload::drawQueryForSegment(uint32_t segment)
 {
     LS_ASSERT(segment <= currentSegment_, "segment ", segment,
               " not generated yet");
-    // The segment's topic: find any token of that segment.
-    uint32_t topic = currentTopic_;
-    for (size_t i = segments_.size(); i-- > 0;) {
-        if (segments_[i] == segment) {
-            topic = topics_[i];
-            break;
-        }
-    }
+    // Only an empty context has no recorded topic for its segment.
+    const uint32_t topic = segment < segmentTopics_.size()
+        ? segmentTopics_[segment]
+        : currentTopic_;
     std::vector<float> q = sampleVector(topic, static_cast<int>(segment),
                                         cfg_.queryNoiseScale);
     if (cfg_.applyRope)

@@ -93,7 +93,13 @@ class HeadWorkload
     /** Generate a context of n tokens (replaces any prior context). */
     void generate(size_t n);
 
-    /** Append one more token to the context (decode-time update). */
+    /**
+     * Append one more token to the context (decode-time update).
+     * Amortized O(headDim): rows are appended in place, so row
+     * pointers taken earlier are invalidated when storage grows.
+     * The RNG stream advances exactly as generate() would, so n calls
+     * on an empty context build the same context as generate(n).
+     */
     void appendToken();
 
     size_t contextLength() const { return keys_.rows(); }
@@ -133,7 +139,7 @@ class HeadWorkload
                                     double noise_scale);
 
     void startContext();
-    void pushToken(Matrix &keys, Matrix &values, size_t pos);
+    void pushToken();
     void advanceTopic();
     const std::vector<float> &segmentIdentity(uint32_t segment);
 
@@ -145,6 +151,7 @@ class HeadWorkload
     std::vector<float> mean_;     //!< global offset
     std::vector<float> spectrum_; //!< per-dimension scales (pair-tied)
     std::vector<std::vector<float>> segmentIds_;
+    std::vector<uint32_t> segmentTopics_; //!< topic of each segment
     Matrix keys_;
     Matrix values_;
     std::vector<uint32_t> topics_;

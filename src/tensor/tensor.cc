@@ -50,6 +50,16 @@ Matrix::appendRow(const float *src)
     ++rows_;
 }
 
+void
+Matrix::reserveNextRow()
+{
+    LS_ASSERT(cols_ > 0, "reserveNextRow on a matrix with no column count");
+    if ((rows_ + 1) * cols_ <= data_.capacity())
+        return;
+    // LS_LINT_ALLOW(alloc): amortized growth; a quarter per step
+    data_.reserve((rows_ + rows_ / 4 + 64) * cols_);
+}
+
 Matrix
 Matrix::identity(size_t n)
 {

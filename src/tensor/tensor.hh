@@ -17,8 +17,8 @@ namespace longsight {
 /**
  * A dense row-major float32 matrix.
  *
- * Row pointers are stable for the lifetime of the object (no
- * reallocation after construction unless resize() is called).
+ * Row pointers stay valid until resize() or an appendRow() that grows
+ * the backing store.
  */
 class Matrix
 {
@@ -63,6 +63,15 @@ class Matrix
 
     /** Reserve capacity for n rows without changing the shape. */
     void reserveRows(size_t n) { data_.reserve(n * cols_); }
+
+    /**
+     * Make room for one more row, growing a full store by a quarter
+     * (at least 64 rows) instead of appendRow()'s doubling. Meant for
+     * matrices grown a row at a time while many of them are resident,
+     * where doubling leaves up to half of each one idle. Still
+     * amortized O(cols) per row.
+     */
+    void reserveNextRow();
 
     /** Identity matrix of order n. */
     static Matrix identity(size_t n);

@@ -234,5 +234,46 @@ TEST(AllocRegression, ReserveThenEnableOrderingStaysAllocationFree)
     EXPECT_EQ(cache.size(), total);
 }
 
+/**
+ * Growing a workload's context by one token costs O(headDim), not
+ * O(context): 256 appends onto an 8K-token context allocate at most
+ * one capacity growth of the context plus the generator's per-token
+ * scratch. Copying the whole context on every token would allocate
+ * 256 x 2 x 8K x 64 x 4 B = 1 GiB here.
+ */
+TEST(AllocRegression, WorkloadAppendTokenDoesNotCopyTheContext)
+{
+    constexpr uint32_t dim = 64;
+    constexpr size_t context = 8192;
+    constexpr size_t appends = 256;
+    WorkloadConfig cfg;
+    cfg.headDim = dim;
+    HeadWorkload wl(cfg, Rng(23));
+    wl.generate(context);
+
+    const AllocCounters before = allocSnapshot();
+    for (size_t i = 0; i < appends; ++i)
+        wl.appendToken();
+    const AllocCounters during = allocSnapshot() - before;
+
+#ifdef LS_SANITIZED
+    GTEST_SKIP() << "sanitizer allocator active";
+#else
+    ASSERT_TRUE(allocHookActive());
+    // One doubling of keys and values and of the two per-token
+    // histories (topics, segments)...
+    const uint64_t growth = 2 * (2 * context * dim * sizeof(float)) +
+        2 * (2 * context * sizeof(uint32_t));
+    // ...plus a few headDim-sized vectors per token (the sampled key
+    // and value, an occasional new segment identity).
+    const uint64_t scratch = appends * 4 * dim * sizeof(float);
+    EXPECT_LE(during.bytes, growth + scratch)
+        << during.allocs << " allocations (" << during.bytes
+        << " bytes) in " << appends << " appends at context "
+        << context;
+#endif
+    EXPECT_EQ(wl.contextLength(), context + appends);
+}
+
 } // namespace
 } // namespace longsight

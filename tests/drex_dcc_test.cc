@@ -89,6 +89,43 @@ TEST(Dcc, ResponseBufferExhaustionDies)
     EXPECT_DEATH({ dev.dcc().responseBufferFor(2); }, "exhausted");
 }
 
+TEST(Dcc, ReleasedBuffersAreReused)
+{
+    DrexConfig cfg = tinyConfig();
+    cfg.dcc.responseBuffers = 2;
+    DrexDevice dev(cfg);
+    Dcc &dcc = dev.dcc();
+    const uint32_t b0 = dcc.responseBufferFor(10);
+    const uint32_t b1 = dcc.responseBufferFor(11);
+    dcc.pollingRegister().set(b0);
+    dcc.release(10);
+    EXPECT_FALSE(dcc.pollingRegister().test(b0));
+    EXPECT_EQ(dcc.activeUsers(), 1u);
+    // The freed buffer goes to the next new user instead of a third
+    // (nonexistent) one; the live user's index is never handed out.
+    EXPECT_EQ(dcc.responseBufferFor(12), b0);
+    EXPECT_EQ(dcc.responseBufferFor(11), b1);
+    EXPECT_DEATH({ dcc.responseBufferFor(13); }, "exhausted");
+}
+
+TEST(Dcc, ReleaseOfUnknownUserIsNoOp)
+{
+    DrexDevice dev(tinyConfig());
+    Dcc &dcc = dev.dcc();
+    const uint32_t b = dcc.responseBufferFor(4);
+    dcc.release(5);
+    EXPECT_EQ(dcc.activeUsers(), 1u);
+    EXPECT_EQ(dcc.responseBufferFor(4), b);
+    EXPECT_NE(dcc.responseBufferFor(6), b);
+}
+
+TEST(Dcc, ReleaseWithQueuedRequestDies)
+{
+    DrexDevice dev(tinyConfig());
+    dev.submit(timingRequest(3, 1000, 0));
+    EXPECT_DEATH({ dev.dcc().release(3); }, "queued request");
+}
+
 TEST(Dcc, HeadsRunOnDistinctNmasInParallel)
 {
     // Two heads -> two packages: request completion must be close to

@@ -101,6 +101,94 @@ TEST(Device, IncrementalWritesAppend)
     EXPECT_EQ(dev.context(0, 0, 0).size(), 50u);
 }
 
+/** A timing-mode request touching every KV head of one user. */
+AttentionRequest
+requestFor(uint32_t uid, uint32_t num_heads)
+{
+    AttentionRequest req;
+    req.uid = uid;
+    for (uint32_t h = 0; h < num_heads; ++h) {
+        OffloadSpec spec;
+        spec.user = uid;
+        spec.kvHead = h;
+        spec.sparseEnd = 1000;
+        spec.survivorFraction = 0.1;
+        req.headOffloads.push_back(spec);
+    }
+    return req;
+}
+
+TEST(Device, ReleasedUsersFreeTheirResponseBuffers)
+{
+    // More distinct uids than the DCC has response buffers, served one
+    // after another: each finished user's buffer and contexts return
+    // to the device, so none of them exhausts it.
+    DrexConfig cfg;
+    cfg.numKvHeads = 2;
+    cfg.numLayers = 2;
+    cfg.headDim = 32;
+    DrexDevice dev(cfg);
+    ASSERT_LT(cfg.dcc.responseBuffers, 600u);
+    Rng rng(3);
+    Matrix keys(8, 32, rng.gaussianVec(8 * 32));
+    Matrix values(8, 32, rng.gaussianVec(8 * 32));
+    for (uint32_t uid = 0; uid < 600; ++uid) {
+        for (uint32_t l = 0; l < cfg.numLayers; ++l)
+            for (uint32_t h = 0; h < cfg.numKvHeads; ++h)
+                dev.writeContext(uid, l, h, keys, values);
+        dev.submit(requestFor(uid, cfg.numKvHeads));
+        const auto responses = dev.processAll();
+        ASSERT_EQ(responses.size(), 1u);
+        EXPECT_TRUE(dev.dcc().pollingRegister().test(
+            responses[0].responseBuffer));
+        dev.dcc().acknowledge(uid);
+        dev.releaseUser(uid);
+        EXPECT_FALSE(dev.hasContext(uid, 0, 0));
+        EXPECT_FALSE(dev.hasContext(uid, 1, 1));
+        EXPECT_EQ(dev.dcc().activeUsers(), 0u);
+    }
+}
+
+TEST(Device, ReleasedUidStartsFromAnEmptyStore)
+{
+    DrexConfig cfg;
+    cfg.numKvHeads = 1;
+    cfg.numLayers = 1;
+    cfg.headDim = 32;
+    DrexDevice dev(cfg);
+    Rng rng(4);
+    Matrix k1(30, 32, rng.gaussianVec(30 * 32));
+    Matrix v1(30, 32, rng.gaussianVec(30 * 32));
+    Matrix k2(20, 32, rng.gaussianVec(20 * 32));
+    Matrix v2(20, 32, rng.gaussianVec(20 * 32));
+    dev.writeContext(7, 0, 0, k1, v1);
+    dev.writeContext(8, 0, 0, k1, v1);
+    dev.releaseUser(7);
+    dev.writeContext(7, 0, 0, k2, v2);
+    ASSERT_EQ(dev.context(7, 0, 0).size(), 20u);
+    EXPECT_EQ(dev.context(7, 0, 0).keys()(5, 3), k2(5, 3));
+    // Another user's store is untouched.
+    EXPECT_EQ(dev.context(8, 0, 0).size(), 30u);
+}
+
+TEST(Device, ReleaseOfUnknownUserIsNoOp)
+{
+    DrexConfig cfg;
+    cfg.numKvHeads = 1;
+    cfg.numLayers = 1;
+    cfg.headDim = 32;
+    DrexDevice dev(cfg);
+    Rng rng(5);
+    Matrix keys(10, 32, rng.gaussianVec(10 * 32));
+    Matrix values(10, 32, rng.gaussianVec(10 * 32));
+    dev.writeContext(1, 0, 0, keys, values);
+    dev.dcc().responseBufferFor(1);
+    dev.releaseUser(2);
+    EXPECT_TRUE(dev.hasContext(1, 0, 0));
+    EXPECT_EQ(dev.context(1, 0, 0).size(), 10u);
+    EXPECT_EQ(dev.dcc().activeUsers(), 1u);
+}
+
 /**
  * The end-to-end equivalence: device offload selections == software
  * hybrid attention sparse selections, with and without ITQ.

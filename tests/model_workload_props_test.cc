@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/attention.hh"
@@ -117,22 +118,56 @@ TEST_P(WorkloadProps, RopeChangesKeysButNotPlantedStructure)
     EXPECT_GT(diff, 1.0f);
 }
 
+/**
+ * Bit-for-bit equality of two workloads: context, latent structure,
+ * and the query stream drawn from each afterwards.
+ */
+void
+expectSameWorkload(HeadWorkload &a, HeadWorkload &b, const char *what)
+{
+    ASSERT_EQ(a.contextLength(), b.contextLength()) << what;
+    EXPECT_EQ(a.topics(), b.topics()) << what;
+    EXPECT_EQ(a.segments(), b.segments()) << what;
+    const size_t bytes = a.keys().size() * sizeof(float);
+    EXPECT_EQ(std::memcmp(a.keys().data(), b.keys().data(), bytes), 0)
+        << what << ": keys differ";
+    EXPECT_EQ(std::memcmp(a.values().data(), b.values().data(), bytes), 0)
+        << what << ": values differ";
+    for (int q = 0; q < 16; ++q) {
+        const std::vector<float> qa = a.drawQuery();
+        const std::vector<float> qb = b.drawQuery();
+        ASSERT_EQ(std::memcmp(qa.data(), qb.data(),
+                              qa.size() * sizeof(float)), 0)
+            << what << ": query " << q << " differs";
+    }
+}
+
 TEST_P(WorkloadProps, AppendMatchesGenerate)
 {
-    // generate(n) and generate(n-5) + 5 x appendToken must agree on
-    // the latent structure (keys involve the same rng stream order).
+    // appendToken advances the RNG stream exactly as generate() does,
+    // so every growth path builds the generate(n) context bit for bit:
+    // a fresh workload grown only by appends, and generate(m) followed
+    // by enough appends to cross several storage growths.
     const auto cfg = configFor(GetParam());
-    HeadWorkload full(cfg, Rng(5));
-    full.generate(100);
+    constexpr size_t n = 400;
+    const auto generated = [&] {
+        HeadWorkload wl(cfg, Rng(5));
+        wl.generate(n);
+        return wl;
+    };
+
+    HeadWorkload full = generated();
+    HeadWorkload fresh(cfg, Rng(5));
+    for (size_t i = 0; i < n; ++i)
+        fresh.appendToken();
+    expectSameWorkload(full, fresh, "appended from empty");
+
+    full = generated();
     HeadWorkload grown(cfg, Rng(5));
-    grown.generate(95);
-    for (int i = 0; i < 5; ++i)
+    grown.generate(64);
+    for (size_t i = 64; i < n; ++i)
         grown.appendToken();
-    EXPECT_EQ(full.topics(), grown.topics());
-    for (size_t i = 0; i < 100; ++i)
-        for (uint32_t d = 0; d < cfg.headDim; ++d)
-            ASSERT_EQ(full.keys()(i, d), grown.keys()(i, d))
-                << "token " << i;
+    expectSameWorkload(full, grown, "generate(64) + 336 appends");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -75,6 +75,25 @@ TEST(Pipeline, ShortContextFlushesNothing)
     EXPECT_FALSE(dev.hasContext(0, 0, 0));
 }
 
+TEST(Pipeline, ReleasedUidRestartsOnAnEmptyStore)
+{
+    // A finished request's uid is released and handed to a new one:
+    // the new pipeline's device store holds only its own context, and
+    // the device top-k still matches the software one.
+    DrexDevice dev(deviceConfig());
+    {
+        DecodePipeline first(pipelineConfig(), dev, 5);
+        first.prefill(1000);
+        first.decodeStep();
+    }
+    dev.releaseUser(5);
+    EXPECT_FALSE(dev.hasContext(5, 0, 0));
+    DecodePipeline second(pipelineConfig(), dev, 5);
+    second.prefill(1000);
+    EXPECT_EQ(dev.context(5, 1, 1).size(), second.flushedTokens());
+    EXPECT_TRUE(second.decodeStep().deviceMatchedSoftware);
+}
+
 TEST(Pipeline, ChunkedPrefillMatchesOneShot)
 {
     // The serving engine's chunked-prefill hook: building a context

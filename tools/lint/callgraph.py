@@ -75,6 +75,10 @@ BUILTIN_PRUNE_MANGLED = ("_ZN9longsight5panicI", "_ZN9longsight5fatalI")
 
 NODE_RE = re.compile(r'^node: \{ title: "((?:[^"\\]|\\.)*)" '
                      r'label: "((?:[^"\\]|\\.)*)"')
+# -fcallgraph-info draws a function the TU only declares (an external
+# symbol it calls) as an ellipse; a function with a body in the TU
+# carries no shape attribute.
+DECLARATION_RE = re.compile(r'\bshape\s*:\s*ellipse\b')
 EDGE_RE = re.compile(r'^edge: \{ sourcename: "((?:[^"\\]|\\.)*)" '
                      r'targetname: "((?:[^"\\]|\\.)*)"'
                      r'(?: label: "((?:[^"\\]|\\.)*)")?')
@@ -130,13 +134,14 @@ def parse_ci(path, tu_tag, graph):
                 label = unescape(m.group(2)).split("\\n")
                 pretty = label[0]
                 loc = label[1] if len(label) > 1 else ""
+                defined = not DECLARATION_RE.search(line)
                 node = graph.get(key)
                 if node is None:
-                    graph[key] = Node(key, mangled, pretty, loc, True)
+                    graph[key] = Node(key, mangled, pretty, loc, defined)
                 elif not node.defined:
                     node.pretty = pretty
                     node.loc = loc
-                    node.defined = True
+                    node.defined = defined
                 continue
             m = EDGE_RE.match(line)
             if m:

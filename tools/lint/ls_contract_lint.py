@@ -47,7 +47,7 @@ build-tree run, and -v reports hit/miss counts.
 
 Usage:
   ls_contract_lint.py --build-dir BUILD [--json OUT] [--jobs N] [-v]
-  ls_contract_lint.py --fixture FILE.cc [--project-root DIR] [--json OUT]
+  ls_contract_lint.py --fixture FILE.cc|DIR [--project-root DIR] [--json OUT]
 """
 
 import argparse
@@ -370,27 +370,38 @@ def lint_build(build_dir, project_root, jobs, verbose, only=None):
 
 
 def lint_fixture(path, project_root, verbose):
+    """Lint a fixture: one .cc file, or a directory whose .cc files are
+    merged into one graph like the TUs of a build (cross-TU calls)."""
     path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    args = ["g++" if "CXX" not in os.environ else os.environ["CXX"],
-            "-std=c++20", "-I", os.path.join(project_root, "src"), path]
+    if os.path.isdir(path):
+        directory = path
+        sources = sorted(os.path.join(path, f) for f in os.listdir(path)
+                         if f.endswith(".cc"))
+    else:
+        directory = os.path.dirname(path)
+        sources = [path]
+    cxx = os.environ.get("CXX", "g++")
     cache_dir = os.path.join(directory, ".lint-cache")
     os.makedirs(cache_dir, exist_ok=True)
     graph = {}
-    art = callgraph.compile_tu(args, directory, cache_dir, verbose)
-    callgraph.parse_ci(art["ci"], os.path.basename(path), graph)
+    for src in sources:
+        args = [cxx, "-std=c++20", "-I", os.path.join(project_root, "src"),
+                src]
+        art = callgraph.compile_tu(args, directory, cache_dir, verbose)
+        callgraph.parse_ci(art["ci"], os.path.basename(src), graph)
     callgraph.finalize_graph(graph)
     # Fixtures may reference project sources; their own graph is enough
-    # because fixtures are single self-contained TUs.
-    checker = Checker(graph, os.path.dirname(path), verbose)
-    return checker.run(directory), checker, 1
+    # because a fixture is self-contained.
+    checker = Checker(graph, directory, verbose)
+    return checker.run(directory), checker, len(sources)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--build-dir", help="CMake build dir with "
                                         "compile_commands.json")
-    ap.add_argument("--fixture", help="lint one standalone fixture file")
+    ap.add_argument("--fixture", help="lint one standalone fixture file, "
+                                      "or a directory of fixture TUs")
     ap.add_argument("--project-root",
                     default=os.path.realpath(
                         os.path.join(os.path.dirname(__file__),

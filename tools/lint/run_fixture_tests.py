@@ -6,11 +6,16 @@ Two suites share one protocol, selected with --suite:
   contract  ls_contract_lint.py over fixtures/{pass,fail}
   race      ls_race_lint.py     over fixtures/race/{pass,fail}
 
+A fixture is one .cc file, or (contract suite) a directory whose .cc
+files are linted together as the TUs of one program, which is how
+cross-TU call edges are exercised.
+
 Every pass fixture must lint clean (exit 0, no diagnostics).
 Every fail fixture must produce EXACTLY the diagnostics its
 `// EXPECT(category)` comments declare: one diagnostic of that
-category anchored at that line, no extras, no misses — so both false
-negatives AND false positives (and wrong locations) fail the suite.
+category anchored at that file and line, no extras, no misses — so
+both false negatives AND false positives (and wrong locations) fail
+the suite.
 
 The race suite also checks the shared lint cache: a compile that is
 still running must never be handed to a second lint compiling the same
@@ -62,13 +67,23 @@ def run_lint(lint, fixture, project_root):
     return proc, diags
 
 
+def fixture_files(fixture):
+    """Source files of a fixture: the file itself, or a directory's."""
+    if not os.path.isdir(fixture):
+        return [fixture]
+    return sorted(os.path.join(fixture, f) for f in os.listdir(fixture)
+                  if f.endswith((".cc", ".hh")))
+
+
 def expected_of(fixture, expect_re):
     expected = set()
-    with open(fixture) as f:
-        for lineno, line in enumerate(f, 1):
-            m = expect_re.search(line)
-            if m:
-                expected.add((lineno, m.group(1)))
+    for path in fixture_files(fixture):
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                m = expect_re.search(line)
+                if m:
+                    expected.add((os.path.basename(path), lineno,
+                                  m.group(1)))
     return expected
 
 
@@ -160,7 +175,10 @@ def main():
 
     for kind in ("pass", "fail"):
         d = os.path.join(suite["fixtures"], kind)
-        files = sorted(f for f in os.listdir(d) if f.endswith(".cc"))
+        files = sorted(f for f in os.listdir(d)
+                       if f.endswith(".cc")
+                       or (os.path.isdir(os.path.join(d, f))
+                           and not f.startswith(".")))
         if not files:
             failures.append("%s corpus is empty" % kind)
         for name in files:
@@ -168,10 +186,12 @@ def main():
             checked += 1
             proc, diags = run_lint(suite["lint"], fixture,
                                    opts.project_root)
-            got = {(dg["line"], dg["category"]) for dg in diags}
+            got = {(os.path.basename(dg["file"]), dg["line"],
+                    dg["category"]) for dg in diags}
             # Diagnostics must also point into the fixture itself.
+            own = set(fixture_files(fixture))
             stray = [dg for dg in diags
-                     if os.path.realpath(dg["file"]) != fixture]
+                     if os.path.realpath(dg["file"]) not in own]
             if stray:
                 failures.append("%s: diagnostic outside fixture: %s"
                                 % (name, stray[0]["loc"]))
